@@ -12,14 +12,15 @@
      (Enumerate.runs_ref), a second from-scratch closure per run
      (Run.Abstract.create), the scalar limit checks (check_causal /
      check_sync) and the interpreting evaluator (Eval.satisfies_ref).
-     The "kernel" arm is Modelcheck.verify itself. Counts and lemma
+     The "kernel" arm is the model checker over the concrete walk
+     (Modelcheck_ref, the test suite's oracle). Counts and lemma
      verdicts must agree between the arms and be byte-identical at
      every job count of the sweep.
    - eval: every Catalog predicate evaluated over every abstract run at
      (3 procs, 3 msgs), compiled-plan vs reference-interpreter arms;
      per-predicate violation counts pinned.
-   - sym (B18): the symmetry-quotiented enumerator (Modelcheck.verify
-     ~sym:true) against the concrete kernel on the same tier, verdicts
+   - sym (B18): the symmetry-quotiented walk (Modelcheck.verify, the
+     shipped one) against the concrete kernel on the same tier, verdicts
      byte-identical between the arms and across the jobs sweep, plus
      the vast tier (77,830,564 orbit-expanded runs) walked quotiented
      only, its exact cardinalities pinned as integer gate keys.
@@ -127,7 +128,7 @@ let bench_modelcheck ~deep ~jobs_list =
   let ref_acc, ref_wall = time (fun () -> reference_verify sizes) in
   let kern, kern_wall =
     time (fun () ->
-        Modelcheck.verify ~pool:(Mo_par.Pool.create ~jobs:1 ()) ~sizes ())
+        Modelcheck_ref.verify ~pool:(Mo_par.Pool.create ~jobs:1 ()) ~sizes ())
   in
   (* the two pipelines must tell the same story before timing means
      anything *)
@@ -142,7 +143,7 @@ let bench_modelcheck ~deep ~jobs_list =
   List.iter
     (fun jobs ->
       let v =
-        Modelcheck.verify ~pool:(Mo_par.Pool.create ~jobs ()) ~sizes ()
+        Modelcheck_ref.verify ~pool:(Mo_par.Pool.create ~jobs ()) ~sizes ()
       in
       if Mo_obs.Jsonb.to_string (verdict_json v) <> base then
         failwith
@@ -260,28 +261,26 @@ let bench_eval () =
 
 (* ---- workload 3 (B18): the symmetry-quotiented kernel ------------- *)
 
-(* B18: Modelcheck.verify with ~sym:true — one canonical representative
+(* B18: Modelcheck.verify's quotiented walk — one canonical representative
    per process/message symmetry orbit, counts expanded by exact orbit
    sizes, decided subtrees pruned (DESIGN.md §3j) — against the concrete
-   kernel on the same tier. The verdicts must be byte-identical between
-   the arms and across the jobs sweep; the acceptance bar is
-   sym_speedup >= 5x on the deep tier. The vast tier (deep + the
-   5-process/5-message sizes, 77,830,564 orbit-expanded runs, ~83x deep)
-   is only ever walked quotiented; its cardinalities are pinned as exact
-   integer gate keys. *)
+   kernel (Modelcheck_ref) on the same tier. The verdicts must be
+   byte-identical between the arms and across the jobs sweep; the
+   acceptance bar is sym_speedup >= 5x on the deep tier. The vast tier
+   (deep + the 5-process/5-message sizes, 77,830,564 orbit-expanded
+   runs, ~83x deep) is only ever walked quotiented; its cardinalities
+   are pinned as exact integer gate keys. *)
 let bench_sym ~deep ~jobs_list =
   let sizes = universe_sizes ~deep in
   Format.printf "@.-- sym (%d sizes%s + vast)@." (List.length sizes)
     (if deep then ", deep" else "");
   let kern, kern_wall =
     time (fun () ->
-        Modelcheck.verify ~pool:(Mo_par.Pool.create ~jobs:1 ()) ~sizes ())
+        Modelcheck_ref.verify ~pool:(Mo_par.Pool.create ~jobs:1 ()) ~sizes ())
   in
   let sym, sym_wall =
     time (fun () ->
-        Modelcheck.verify
-          ~pool:(Mo_par.Pool.create ~jobs:1 ())
-          ~sym:true ~sizes ())
+        Modelcheck.verify ~pool:(Mo_par.Pool.create ~jobs:1 ()) ~sizes ())
   in
   let base = Mo_obs.Jsonb.to_string (verdict_json kern) in
   if Mo_obs.Jsonb.to_string (verdict_json sym) <> base then
@@ -289,9 +288,7 @@ let bench_sym ~deep ~jobs_list =
   List.iter
     (fun jobs ->
       let v =
-        Modelcheck.verify
-          ~pool:(Mo_par.Pool.create ~jobs ())
-          ~sym:true ~sizes ()
+        Modelcheck.verify ~pool:(Mo_par.Pool.create ~jobs ()) ~sizes ()
       in
       if Mo_obs.Jsonb.to_string (verdict_json v) <> base then
         failwith
@@ -312,7 +309,7 @@ let bench_sym ~deep ~jobs_list =
     time (fun () ->
         Modelcheck.verify
           ~pool:(Mo_par.Pool.create ~jobs:1 ())
-          ~sym:true ~sizes:Modelcheck.vast_sizes ())
+          ~sizes:Modelcheck.vast_sizes ())
   in
   if not (Modelcheck.ok vast) then
     failwith "core bench: vast-tier lemma identities failed";

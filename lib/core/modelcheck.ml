@@ -79,7 +79,7 @@ let plans =
           Catalog.async_forms;
     }
 
-let step_mult plans ~mult acc r =
+let step plans acc ~mult r =
   let causal = Limits.is_causal r and sync = Limits.is_sync r in
   let s2 = Eval.satisfies_c plans.p_b2 r in
   {
@@ -96,8 +96,6 @@ let step_mult plans ~mult acc r =
       acc.a_unsat
       && List.for_all (fun p -> Eval.satisfies_c p r) plans.p_async;
   }
-
-let step plans acc r = step_mult plans ~mult:1 acc r
 
 let with_pool pool f =
   match pool with
@@ -134,40 +132,6 @@ let verify_prune plans =
     { acc with a_runs = acc.a_runs + (mult * runs) }
   in
   (decided, on_pruned)
-
-let verify ?pool ?(sym = false) ~sizes () =
-  (* force the compiled plans on this domain before any worker shards run *)
-  let plans = Lazy.force plans in
-  with_pool pool (fun pool ->
-      let total =
-        if sym then
-          List.fold_left
-            (fun acc (nprocs, nmsgs) ->
-              acc_merge acc
-                (Enumerate.fold_abstracts_sym_par ~pool ~nprocs ~nmsgs
-                   ~prune:(verify_prune plans) ~init:acc_init
-                   ~f:(fun acc ~mult r -> step_mult plans ~mult acc r)
-                   ~merge:acc_merge ()))
-            acc_init sizes
-        else
-          List.fold_left
-            (fun acc (nprocs, nmsgs) ->
-              acc_merge acc
-                (Enumerate.fold_abstracts_par ~pool ~nprocs ~nmsgs
-                   ~init:acc_init ~f:(step plans) ~merge:acc_merge ()))
-            acc_init sizes
-      in
-      {
-        counts =
-          { runs = total.a_runs; causal = total.a_causal; sync = total.a_sync };
-        subset_chain =
-          total.a_sync_sub
-          && total.a_sync < total.a_causal
-          && total.a_causal < total.a_runs;
-        lemma32_equiv = total.a_equiv;
-        lemma32_exact = total.a_exact;
-        lemma33_unsat = total.a_unsat;
-      })
 
 (* ------------------------------------------------------------------ *)
 (* Online-vs-offline differential verification.                       *)
@@ -240,45 +204,6 @@ let verify_monitor ?pool ?(extensions = 3) ?(seed = 0) ?(sample = 1) ~sizes
         m_agree = total.ma_agree;
       })
 
-let count ?pool ?(sym = false) ~sizes () =
-  let cstep ~mult acc r =
-    {
-      runs = acc.runs + mult;
-      causal = (acc.causal + if Limits.is_causal r then mult else 0);
-      sync = (acc.sync + if Limits.is_sync r then mult else 0);
-    }
-  in
-  let cmerge x y =
-    {
-      runs = x.runs + y.runs;
-      causal = x.causal + y.causal;
-      sync = x.sync + y.sync;
-    }
-  in
-  let czero = { runs = 0; causal = 0; sync = 0 } in
-  (* both limit violations are monotone in the closure: a subtree where
-     causality and synchrony are already broken only contributes runs *)
-  let cprune =
-    ( (fun a -> (not (Limits.is_causal a)) && not (Limits.is_sync a)),
-      fun acc ~mult ~runs _a -> { acc with runs = acc.runs + (mult * runs) } )
-  in
-  with_pool pool (fun pool ->
-      List.fold_left
-        (fun acc (nprocs, nmsgs) ->
-          let c =
-            if sym then
-              Enumerate.fold_abstracts_sym_par ~pool ~nprocs ~nmsgs
-                ~prune:cprune ~init:czero
-                ~f:(fun acc ~mult r -> cstep ~mult acc r)
-                ~merge:cmerge ()
-            else
-              Enumerate.fold_abstracts_par ~pool ~nprocs ~nmsgs ~init:czero
-                ~f:(fun acc r -> cstep ~mult:1 acc r)
-                ~merge:cmerge ()
-          in
-          cmerge acc c)
-        czero sizes)
-
 (* ------------------------------------------------------------------ *)
 (* Placement against the communication-model lattice.                  *)
 (* ------------------------------------------------------------------ *)
@@ -308,153 +233,238 @@ type pacc = {
   pa_contby : bool array; (* X_B ⊆ X_M so far *)
 }
 
-let placement ?pool ?(kmax = 3) ?(sym = false) ~sizes pred =
-  let models = Array.of_list (Lattice.points ~kmax ()) in
-  let nm = Array.length models in
-  (* compiled before the worker shards run, as [verify] *)
-  let plan = Eval.compile pred in
-  let init =
-    {
-      pa_runs = 0;
-      pa_spec = 0;
-      pa_members = Array.make nm 0;
-      pa_inter = Array.make nm 0;
-      pa_cont = Array.make nm true;
-      pa_contby = Array.make nm true;
-    }
-  in
-  (* per-run copies keep the shard accumulators disjoint, as the
-     monitor pass; everything reduces by sums and conjunctions, so the
-     verdict is identical at every job count *)
-  let step ~mult acc r =
-    let sat = Eval.satisfies_c plan r in
-    let members = Array.copy acc.pa_members
-    and inter = Array.copy acc.pa_inter
-    and cont = Array.copy acc.pa_cont
-    and contby = Array.copy acc.pa_contby in
-    for i = 0 to nm - 1 do
-      let m = Lattice.is_member models.(i) r in
-      if m then begin
-        members.(i) <- members.(i) + mult;
-        if sat then inter.(i) <- inter.(i) + mult else cont.(i) <- false
-      end
-      else if sat then contby.(i) <- false
-    done;
-    {
-      pa_runs = acc.pa_runs + mult;
-      pa_spec = (acc.pa_spec + if sat then mult else 0);
-      pa_members = members;
-      pa_inter = inter;
-      pa_cont = cont;
-      pa_contby = contby;
-    }
-  in
-  let merge x y =
-    {
-      pa_runs = x.pa_runs + y.pa_runs;
-      pa_spec = x.pa_spec + y.pa_spec;
-      pa_members =
-        Array.init nm (fun i -> x.pa_members.(i) + y.pa_members.(i));
-      pa_inter = Array.init nm (fun i -> x.pa_inter.(i) + y.pa_inter.(i));
-      pa_cont = Array.init nm (fun i -> x.pa_cont.(i) && y.pa_cont.(i));
-      pa_contby = Array.init nm (fun i -> x.pa_contby.(i) && y.pa_contby.(i));
-    }
-  in
-  (* Decided-subtree prune, per size: the spec's pattern has matched
-     (Eval.holds_c is monotone, so no completion satisfies the spec) and
-     every lattice point's membership is constant over the subtree —
-     either statically true at this size (Async; Ksync k with k ≥ nmsgs,
-     since no SCC can exceed the message count) or already violated
-     (every non-membership witness is a present structure: a cycle, a
-     large SCC, an overtaking pair — all monotone). Pruned runs are
-     members of exactly the statically-true points, with empty spec
-     intersection. *)
-  let prune_for nmsgs =
-    let trivially_in =
-      Array.map
-        (function
-          | Lattice.Async -> true
-          | Lattice.Ksync k -> k >= nmsgs
-          | _ -> false)
-        models
-    in
-    let decided a =
-      Eval.holds_c plan a
-      && Array.for_all2
-           (fun triv m -> triv || not (Lattice.is_member m a))
-           trivially_in models
-    in
-    let on_pruned acc ~mult ~runs _a =
-      let members = Array.copy acc.pa_members
-      and cont = Array.copy acc.pa_cont in
-      for i = 0 to nm - 1 do
-        if trivially_in.(i) then begin
-          members.(i) <- members.(i) + (mult * runs);
-          cont.(i) <- false
-        end
-      done;
+(* ------------------------------------------------------------------ *)
+(* The walk.                                                           *)
+(* ------------------------------------------------------------------ *)
+
+module type WALK = sig
+  val fold :
+    pool:Mo_par.Pool.t ->
+    nprocs:int ->
+    nmsgs:int ->
+    prune:
+      (Run.Abstract.t -> bool)
+      * ('acc -> mult:int -> runs:int -> Run.Abstract.t -> 'acc) ->
+    init:'acc ->
+    f:('acc -> mult:int -> Run.Abstract.t -> 'acc) ->
+    merge:('acc -> 'acc -> 'acc) ->
+    'acc
+end
+
+module Make (W : WALK) = struct
+  (* every size folded from [init]; size totals merge in [sizes] order,
+     as the shards of one size do *)
+  let walk ~pool ~sizes ~prune ~init ~f ~merge =
+    List.fold_left
+      (fun acc (nprocs, nmsgs) ->
+        merge acc
+          (W.fold ~pool ~nprocs ~nmsgs ~prune:(prune nmsgs) ~init ~f ~merge))
+      init sizes
+
+  let verify ?pool ~sizes () =
+    (* force the compiled plans on this domain before any worker shards
+       run *)
+    let plans = Lazy.force plans in
+    with_pool pool (fun pool ->
+        let total =
+          walk ~pool ~sizes
+            ~prune:(fun _ -> verify_prune plans)
+            ~init:acc_init ~f:(step plans) ~merge:acc_merge
+        in
+        {
+          counts =
+            {
+              runs = total.a_runs;
+              causal = total.a_causal;
+              sync = total.a_sync;
+            };
+          subset_chain =
+            total.a_sync_sub
+            && total.a_sync < total.a_causal
+            && total.a_causal < total.a_runs;
+          lemma32_equiv = total.a_equiv;
+          lemma32_exact = total.a_exact;
+          lemma33_unsat = total.a_unsat;
+        })
+
+  let count ?pool ~sizes () =
+    let step acc ~mult r =
       {
-        acc with
-        pa_runs = acc.pa_runs + (mult * runs);
-        pa_members = members;
-        pa_cont = cont;
+        runs = acc.runs + mult;
+        causal = (acc.causal + if Limits.is_causal r then mult else 0);
+        sync = (acc.sync + if Limits.is_sync r then mult else 0);
       }
     in
-    (decided, on_pruned)
-  in
-  with_pool pool (fun pool ->
-      let total =
-        List.fold_left
-          (fun acc (nprocs, nmsgs) ->
-            merge acc
-              (if sym then
-                 Enumerate.fold_abstracts_sym_par ~pool ~nprocs ~nmsgs
-                   ~prune:(prune_for nmsgs) ~init
-                   ~f:(fun acc ~mult r -> step ~mult acc r)
-                   ~merge ()
-               else
-                 Enumerate.fold_abstracts_par ~pool ~nprocs ~nmsgs ~init
-                   ~f:(fun acc r -> step ~mult:1 acc r)
-                   ~merge ()))
-          init sizes
-      in
-      let places =
-        List.init nm (fun i ->
-            {
-              pl_model = models.(i);
-              pl_members = total.pa_members.(i);
-              pl_inter = total.pa_inter.(i);
-              pl_model_in_spec = total.pa_cont.(i);
-              pl_spec_in_model = total.pa_contby.(i);
-            })
-      in
-      let chosen keep extreme =
-        let set =
-          List.filteri (fun i _ -> keep i) (Array.to_list models)
-        in
-        List.filter
-          (fun m ->
-            not
-              (List.exists
-                 (fun m' -> (not (Lattice.equal m m')) && extreme m m')
-                 set))
-          set
-      in
+    let merge x y =
       {
-        p_runs = total.pa_runs;
-        p_spec = total.pa_spec;
-        p_places = places;
-        (* strongest guarantee: maximal models whose runs all satisfy
-           the spec *)
-        p_sufficient =
-          chosen (fun i -> total.pa_cont.(i)) (fun m m' -> Lattice.leq m m');
-        (* weakest model already implied by the spec: minimal models
-           containing every satisfying run *)
-        p_guarantees =
-          chosen
-            (fun i -> total.pa_contby.(i))
-            (fun m m' -> Lattice.leq m' m);
-      })
+        runs = x.runs + y.runs;
+        causal = x.causal + y.causal;
+        sync = x.sync + y.sync;
+      }
+    in
+    (* both limit violations are monotone in the closure: a subtree where
+       causality and synchrony are already broken only contributes runs *)
+    let prune =
+      ( (fun a -> (not (Limits.is_causal a)) && not (Limits.is_sync a)),
+        fun acc ~mult ~runs _a -> { acc with runs = acc.runs + (mult * runs) }
+      )
+    in
+    with_pool pool (fun pool ->
+        walk ~pool ~sizes
+          ~prune:(fun _ -> prune)
+          ~init:{ runs = 0; causal = 0; sync = 0 }
+          ~f:step ~merge)
+
+  let placement ?pool ?(kmax = 3) ~sizes pred =
+    let models = Array.of_list (Lattice.points ~kmax ()) in
+    let nm = Array.length models in
+    (* compiled before the worker shards run, as [verify] *)
+    let plan = Eval.compile pred in
+    let init =
+      {
+        pa_runs = 0;
+        pa_spec = 0;
+        pa_members = Array.make nm 0;
+        pa_inter = Array.make nm 0;
+        pa_cont = Array.make nm true;
+        pa_contby = Array.make nm true;
+      }
+    in
+    (* per-run copies keep the shard accumulators disjoint, as the
+       monitor pass; everything reduces by sums and conjunctions, so the
+       verdict is identical at every job count *)
+    let step acc ~mult r =
+      let sat = Eval.satisfies_c plan r in
+      let members = Array.copy acc.pa_members
+      and inter = Array.copy acc.pa_inter
+      and cont = Array.copy acc.pa_cont
+      and contby = Array.copy acc.pa_contby in
+      for i = 0 to nm - 1 do
+        let m = Lattice.is_member models.(i) r in
+        if m then begin
+          members.(i) <- members.(i) + mult;
+          if sat then inter.(i) <- inter.(i) + mult else cont.(i) <- false
+        end
+        else if sat then contby.(i) <- false
+      done;
+      {
+        pa_runs = acc.pa_runs + mult;
+        pa_spec = (acc.pa_spec + if sat then mult else 0);
+        pa_members = members;
+        pa_inter = inter;
+        pa_cont = cont;
+        pa_contby = contby;
+      }
+    in
+    let merge x y =
+      {
+        pa_runs = x.pa_runs + y.pa_runs;
+        pa_spec = x.pa_spec + y.pa_spec;
+        pa_members =
+          Array.init nm (fun i -> x.pa_members.(i) + y.pa_members.(i));
+        pa_inter = Array.init nm (fun i -> x.pa_inter.(i) + y.pa_inter.(i));
+        pa_cont = Array.init nm (fun i -> x.pa_cont.(i) && y.pa_cont.(i));
+        pa_contby =
+          Array.init nm (fun i -> x.pa_contby.(i) && y.pa_contby.(i));
+      }
+    in
+    (* Decided-subtree prune, per size: the spec's pattern has matched
+       (Eval.holds_c is monotone, so no completion satisfies the spec) and
+       every lattice point's membership is constant over the subtree —
+       either statically true at this size (Async; Ksync k with k ≥ nmsgs,
+       since no SCC can exceed the message count) or already violated
+       (every non-membership witness is a present structure: a cycle, a
+       large SCC, an overtaking pair — all monotone). Pruned runs are
+       members of exactly the statically-true points, with empty spec
+       intersection. *)
+    let prune_for nmsgs =
+      let trivially_in =
+        Array.map
+          (function
+            | Lattice.Async -> true
+            | Lattice.Ksync k -> k >= nmsgs
+            | _ -> false)
+          models
+      in
+      let decided a =
+        Eval.holds_c plan a
+        && Array.for_all2
+             (fun triv m -> triv || not (Lattice.is_member m a))
+             trivially_in models
+      in
+      let on_pruned acc ~mult ~runs _a =
+        let members = Array.copy acc.pa_members
+        and cont = Array.copy acc.pa_cont in
+        for i = 0 to nm - 1 do
+          if trivially_in.(i) then begin
+            members.(i) <- members.(i) + (mult * runs);
+            cont.(i) <- false
+          end
+        done;
+        {
+          acc with
+          pa_runs = acc.pa_runs + (mult * runs);
+          pa_members = members;
+          pa_cont = cont;
+        }
+      in
+      (decided, on_pruned)
+    in
+    with_pool pool (fun pool ->
+        let total = walk ~pool ~sizes ~prune:prune_for ~init ~f:step ~merge in
+        let places =
+          List.init nm (fun i ->
+              {
+                pl_model = models.(i);
+                pl_members = total.pa_members.(i);
+                pl_inter = total.pa_inter.(i);
+                pl_model_in_spec = total.pa_cont.(i);
+                pl_spec_in_model = total.pa_contby.(i);
+              })
+        in
+        let chosen keep extreme =
+          let set = List.filteri (fun i _ -> keep i) (Array.to_list models) in
+          List.filter
+            (fun m ->
+              not
+                (List.exists
+                   (fun m' -> (not (Lattice.equal m m')) && extreme m m')
+                   set))
+            set
+        in
+        {
+          p_runs = total.pa_runs;
+          p_spec = total.pa_spec;
+          p_places = places;
+          (* strongest guarantee: maximal models whose runs all satisfy
+             the spec *)
+          p_sufficient =
+            chosen
+              (fun i -> total.pa_cont.(i))
+              (fun m m' -> Lattice.leq m m');
+          (* weakest model already implied by the spec: minimal models
+             containing every satisfying run *)
+          p_guarantees =
+            chosen
+              (fun i -> total.pa_contby.(i))
+              (fun m m' -> Lattice.leq m' m);
+        })
+end
+
+(* The shipped walk: one canonical representative per symmetry orbit,
+   decided subtrees pruned (DESIGN.md §3j). *)
+module Quotiented = Make (struct
+  let fold ~pool ~nprocs ~nmsgs ~prune ~init ~f ~merge =
+    Enumerate.fold_abstracts_sym_par ~pool ~nprocs ~nmsgs ~prune ~init ~f
+      ~merge ()
+end)
+
+let verify ?pool ?sym:_ ~sizes () = Quotiented.verify ?pool ~sizes ()
+
+let count = Quotiented.count
+
+let placement ?pool ?kmax ?sym:_ ~sizes pred =
+  Quotiented.placement ?pool ?kmax ~sizes pred
 
 let pp_placement ppf p =
   Format.fprintf ppf "universe: %d runs, |X_B| = %d@." p.p_runs p.p_spec;

@@ -1,11 +1,15 @@
 (** Parallel model checking of the Lemma 3 identities over exhaustively
-    enumerated universes (experiment T2, and its [--deep] extension).
+    enumerated universes (experiment T2, and its [--deep] and [--vast]
+    extensions).
 
-    The sequential T2 harness walks every concrete run with 2–3 processes
-    and 2–3 messages (2,804 of them). This module runs the same checks
-    sharded over a {!Mo_par.Pool} — one task per message configuration —
-    which is what makes the 4-process / 4-message universe (about 4.6
-    million additional runs) tractable. All reductions are sums and
+    Every check quantifies over all runs of the checked sizes, but walks
+    only one canonical representative per process/message symmetry orbit
+    ({!Mo_order.Enumerate.fold_abstracts_sym_par}), weighs it by the
+    exact orbit size and collapses subtrees whose contribution is already
+    decided (DESIGN.md §3j). Verdicts and counts are orbit-invariant, so
+    they equal a walk over every concrete run; the test suite checks this
+    against the concrete walk, instantiated through {!Make}. The walk is
+    sharded over a {!Mo_par.Pool} and all reductions are sums and
     conjunctions, so every job count produces identical results. *)
 
 type counts = { runs : int; causal : int; sync : int }
@@ -40,9 +44,8 @@ val universe_sizes : (int * int) list
 
 val vast_sizes : (int * int) list
 (** {!deep_sizes} plus (5,2), (5,3), (5,4) and (4,5) — 77,830,564
-    orbit-expanded runs, ~83x the deep tier. Only practical with
-    [~sym:true], which enumerates the tier's ~31,700 canonical orbit
-    representatives and expands counts exactly (bench B18). *)
+    orbit-expanded runs, ~83x the deep tier, of which the walk visits the
+    ~31,700 canonical orbit representatives (bench B18). *)
 
 val verify :
   ?pool:Mo_par.Pool.t ->
@@ -52,12 +55,9 @@ val verify :
   verdict
 (** Enumerate every size and check each run against all four identities
     in one pass. [pool] defaults to a fresh pool with
-    {!Mo_par.default_jobs} workers. [sym] (default false) switches to
-    the symmetry-quotiented kernel ({!Mo_order.Enumerate.fold_abstracts_sym_par}):
-    one canonical representative per orbit, counts expanded by exact
-    orbit sizes, decided subtrees pruned — the verdict is identical
-    (verdicts are orbit-invariant; checked exhaustively by
-    test/test_sym.ml), the wall time is not. *)
+    {!Mo_par.default_jobs} workers. [sym] is ignored: the walk is always
+    quotiented; the argument remains so that callers written when it
+    selected the walk still compile. *)
 
 type monitor_report = {
   m_runs : int;  (** concrete runs checked *)
@@ -128,18 +128,55 @@ val placement :
   Forbidden.t ->
   placement
 (** One enumeration pass over [sizes], evaluating the compiled
-    predicate and all lattice memberships per run. [kmax] (default 3)
-    bounds the k-synchronous points swept. [sym] (default false) runs
-    the quotiented kernel: member counts become exact orbit sums
-    (lattice membership is orbit-invariant), byte-identical to the
-    concrete pass at every job count. *)
+    predicate and all lattice memberships per run (member counts are
+    exact orbit sums: lattice membership is orbit-invariant). [kmax]
+    (default 3) bounds the k-synchronous points swept. [sym] is ignored,
+    as in {!verify}. *)
 
 val pp_placement : Format.formatter -> placement -> unit
 
-val count :
-  ?pool:Mo_par.Pool.t -> ?sym:bool -> sizes:(int * int) list -> unit -> counts
+val count : ?pool:Mo_par.Pool.t -> sizes:(int * int) list -> unit -> counts
 (** Just the limit-set cardinalities (skips the predicate evaluations);
-    at the standard sizes this is the pinned [1424 ⊆ 1840 ⊆ 2804].
-    [sym] as in {!verify}. *)
+    at the standard sizes this is the pinned [1424 ⊆ 1840 ⊆ 2804]. *)
+
+(** {1 The walk as a parameter}
+
+    [verify], [count] and [placement] are {!Make} applied to the
+    quotiented walk. Any walk that folds every run of a size exactly
+    once, with its weight, yields the same results; the test suite and
+    the benches instantiate the concrete walk as their reference. *)
+
+module type WALK = sig
+  val fold :
+    pool:Mo_par.Pool.t ->
+    nprocs:int ->
+    nmsgs:int ->
+    prune:
+      (Mo_order.Run.Abstract.t -> bool)
+      * ('acc -> mult:int -> runs:int -> Mo_order.Run.Abstract.t -> 'acc) ->
+    init:'acc ->
+    f:('acc -> mult:int -> Mo_order.Run.Abstract.t -> 'acc) ->
+    merge:('acc -> 'acc -> 'acc) ->
+    'acc
+  (** Fold [f] over the runs of every [nprocs]-process, [nmsgs]-message
+      configuration; [mult] is how many runs the visited one stands for.
+      [prune] is the checker's decided-subtree prune, with the contract
+      of {!Mo_order.Enumerate.fold_abstracts_sym}; a walk may ignore
+      it. *)
+end
+
+module Make (W : WALK) : sig
+  val verify :
+    ?pool:Mo_par.Pool.t -> sizes:(int * int) list -> unit -> verdict
+
+  val count : ?pool:Mo_par.Pool.t -> sizes:(int * int) list -> unit -> counts
+
+  val placement :
+    ?pool:Mo_par.Pool.t ->
+    ?kmax:int ->
+    sizes:(int * int) list ->
+    Forbidden.t ->
+    placement
+end
 
 val pp_verdict : Format.formatter -> verdict -> unit

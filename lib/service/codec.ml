@@ -310,9 +310,9 @@ let monitor_payload ?window pred ~trace =
 let lattice_payload ?(kmax = 3) pred =
   if kmax < 1 then raise (Bad_request "kmax must be >= 1");
   let canonical = Canon.predicate pred in
-  (* an inline jobs=1 pool: lattice placements already run inside the
-     engine's worker pool, and membership over the standard universe is
-     fast enough sequentially (the cache amortizes repeats anyway) *)
+  (* an inline jobs=1 pool: the request already runs on one of the
+     engine's workers, so the placement does not spawn domains of its
+     own *)
   let pl =
     Modelcheck.placement
       ~pool:(Mo_par.Pool.create ~jobs:1 ())

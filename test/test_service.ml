@@ -13,6 +13,7 @@ module Codec = Mo_service.Codec
 module Cache = Mo_service.Cache
 module Engine = Mo_service.Engine
 module Persist = Mo_service.Persist
+module Modelcheck = Mo_core.Modelcheck
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -735,6 +736,65 @@ let test_lattice_op () =
   | Error (10, _) -> ()
   | _ -> Alcotest.fail "kmax 0 was not rejected"
 
+(* the lattice op walks orbit representatives and prunes decided
+   subtrees on whatever predicate arrives: its counts must equal the
+   concrete oracle's, guarded input included, and an alpha-renaming
+   must still answer from the cache *)
+let test_lattice_oracle () =
+  let t = Engine.create ~cache_capacity:16 () in
+  let pool = Mo_par.Pool.create ~jobs:1 () in
+  let hits () =
+    Option.value ~default:(-1)
+      (Mo_obs.Metrics.value (Engine.registry t) "svc.cache_hits")
+  in
+  let rows payload =
+    match field "models" payload with
+    | J.List l ->
+        List.map
+          (fun m ->
+            match (field "model" m, field "members" m, field "intersection" m)
+            with
+            | J.String name, J.Int members, J.Int inter ->
+                (name, members, inter)
+            | _ -> Alcotest.fail "malformed placement row")
+          l
+    | _ -> Alcotest.fail "models is not a list"
+  in
+  List.iteri
+    (fun i (text, renamed) ->
+      let q id p =
+        ok_result
+          (Engine.handle t (envelope ~id (Codec.Lattice (pred p, None))))
+      in
+      let payload = q ((2 * i) + 1) text in
+      let oracle =
+        Modelcheck_ref.placement ~pool ~sizes:Modelcheck.universe_sizes
+          (pred text)
+      in
+      check_bool (text ^ ": runs") true
+        (field "runs" payload = J.Int oracle.Modelcheck.p_runs);
+      check_bool (text ^ ": spec_members") true
+        (field "spec_members" payload = J.Int oracle.Modelcheck.p_spec);
+      Alcotest.(check (list (triple string int int)))
+        (text ^ ": per-model counts")
+        (List.map
+           (fun (p : Modelcheck.place) ->
+             ( Mo_order.Lattice.to_string p.Modelcheck.pl_model,
+               p.Modelcheck.pl_members,
+               p.Modelcheck.pl_inter ))
+           oracle.Modelcheck.p_places)
+        (rows payload);
+      let before = hits () in
+      check_string (renamed ^ ": answers byte-identically")
+        (J.to_string payload)
+        (J.to_string (q ((2 * i) + 2) renamed));
+      check_int (renamed ^ ": served from the cache") (before + 1) (hits ()))
+    [
+      ("x.s < y.s & y.r < x.r", "p.s < q.s & q.r < p.r");
+      ( "x.s < y.r & y.s < x.r & dst(x) = dst(y)",
+        "b.s < a.r & a.s < b.r & dst(b) = dst(a)" );
+    ]
+
 (* ---- the service edge: connect retry and crash-tolerant startup ---- *)
 
 module Client = Mo_service.Client
@@ -1330,6 +1390,8 @@ let () =
           Alcotest.test_case "payload shapes" `Quick test_payload_shapes;
           Alcotest.test_case "monitor op" `Quick test_monitor_op;
           Alcotest.test_case "lattice op" `Quick test_lattice_op;
+          Alcotest.test_case "lattice op vs concrete oracle" `Quick
+            test_lattice_oracle;
           Alcotest.test_case "pipelined groups" `Quick test_pipelined_group;
           Alcotest.test_case "warm restart" `Quick test_engine_warm_restart;
         ] );

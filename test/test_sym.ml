@@ -1,5 +1,6 @@
-(* The symmetry-quotiented enumeration (DESIGN.md §3j), verified
-   differentially against the concrete kernel.
+(* The symmetry-quotiented enumeration (DESIGN.md §3j) — the walk behind
+   every Modelcheck verdict — verified differentially against the
+   concrete kernel.
 
    - configs_quotient / configs_sym: multiplicity-expanded config and
      run counts equal the unquotiented enumeration's on every standard
@@ -10,7 +11,11 @@
      equal the concrete enumeration's, for every Catalog predicate,
      exhaustively over the standard tier;
    - Modelcheck verify / count / placement produce byte-identical
-     verdicts with --sym on and off, at jobs 1/2/4/7;
+     verdicts to the concrete oracle (Modelcheck_ref, test/support) on
+     catalog predicates and on 200 + 20 random plain/guarded predicates,
+     and byte-identical verdicts at jobs 1/2/4/7;
+   - `mopc universe --deep` prints the pinned output with and without
+     --sym;
    - MO_SYM_DEEP=1 (nightly) extends the verify differential to the
      940,304-run deep tier and pins the 77,830,564-run vast tier's
      orbit-expanded cardinalities. *)
@@ -159,23 +164,22 @@ let test_verdict_counts () =
 
 (* ---- Modelcheck differentials ------------------------------------- *)
 
+(* Modelcheck walks orbit representatives; Modelcheck_ref walks every
+   concrete run. Every comparison below is shipped walk vs oracle. *)
+
 let str_verdict v = Format.asprintf "%a" Modelcheck.pp_verdict v
 
 let str_placement p = Format.asprintf "%a" Modelcheck.pp_placement p
 
 let test_modelcheck_equal () =
   let pool = Mo_par.Pool.create ~jobs:4 () in
-  let v = Modelcheck.verify ~pool ~sizes:Modelcheck.standard_sizes () in
-  let vs =
-    Modelcheck.verify ~pool ~sym:true ~sizes:Modelcheck.standard_sizes ()
-  in
+  let v = Modelcheck_ref.verify ~pool ~sizes:Modelcheck.standard_sizes () in
+  let vs = Modelcheck.verify ~pool ~sizes:Modelcheck.standard_sizes () in
   check_string "verify standard: byte-identical" (str_verdict v)
     (str_verdict vs);
   check_bool "verify standard: record-equal" true (v = vs);
-  let c = Modelcheck.count ~pool ~sizes:Modelcheck.universe_sizes () in
-  let cs =
-    Modelcheck.count ~pool ~sym:true ~sizes:Modelcheck.universe_sizes ()
-  in
+  let c = Modelcheck_ref.count ~pool ~sizes:Modelcheck.universe_sizes () in
+  let cs = Modelcheck.count ~pool ~sizes:Modelcheck.universe_sizes () in
   check_bool "count universe: equal" true (c = cs);
   check_int "count universe: runs pinned" 125_768 cs.Modelcheck.runs;
   check_int "count universe: causal pinned" 63_364 cs.Modelcheck.causal;
@@ -183,11 +187,11 @@ let test_modelcheck_equal () =
   List.iter
     (fun (e : Catalog.entry) ->
       let p =
-        Modelcheck.placement ~pool ~sizes:Modelcheck.standard_sizes
+        Modelcheck_ref.placement ~pool ~sizes:Modelcheck.standard_sizes
           e.Catalog.pred
       in
       let ps =
-        Modelcheck.placement ~pool ~sym:true ~sizes:Modelcheck.standard_sizes
+        Modelcheck.placement ~pool ~sizes:Modelcheck.standard_sizes
           e.Catalog.pred
       in
       check_string
@@ -196,12 +200,12 @@ let test_modelcheck_equal () =
     [ Catalog.fifo; Catalog.causal_b2; Catalog.sync_crown 2 ];
   (* one universe-tier placement with a wider k-synchronous sweep *)
   let p =
-    Modelcheck.placement ~pool ~kmax:5 ~sizes:Modelcheck.universe_sizes
+    Modelcheck_ref.placement ~pool ~kmax:5 ~sizes:Modelcheck.universe_sizes
       Catalog.fifo.Catalog.pred
   in
   let ps =
-    Modelcheck.placement ~pool ~kmax:5 ~sym:true
-      ~sizes:Modelcheck.universe_sizes Catalog.fifo.Catalog.pred
+    Modelcheck.placement ~pool ~kmax:5 ~sizes:Modelcheck.universe_sizes
+      Catalog.fifo.Catalog.pred
   in
   check_string "placement universe fifo kmax 5: byte-identical"
     (str_placement p) (str_placement ps)
@@ -210,22 +214,104 @@ let test_jobs_identity () =
   let at jobs =
     let pool = Mo_par.Pool.create ~jobs () in
     ( str_verdict
-        (Modelcheck.verify ~pool ~sym:true ~sizes:Modelcheck.universe_sizes ()),
+        (Modelcheck.verify ~pool ~sizes:Modelcheck.universe_sizes ()),
       str_placement
-        (Modelcheck.placement ~pool ~sym:true
-           ~sizes:Modelcheck.universe_sizes Catalog.causal_b2.Catalog.pred) )
+        (Modelcheck.placement ~pool ~sizes:Modelcheck.universe_sizes
+           Catalog.causal_b2.Catalog.pred) )
   in
   let v1, p1 = at 1 in
   List.iter
     (fun jobs ->
       let v, p = at jobs in
       check_string
-        (Printf.sprintf "verify sym: jobs %d byte-identical to jobs 1" jobs)
+        (Printf.sprintf "verify: jobs %d byte-identical to jobs 1" jobs)
         v1 v;
       check_string
-        (Printf.sprintf "placement sym: jobs %d byte-identical to jobs 1" jobs)
+        (Printf.sprintf "placement: jobs %d byte-identical to jobs 1" jobs)
         p1 p)
     [ 2; 4; 7 ]
+
+(* verify and count at the universe tier, shipped walk vs oracle, each
+   at jobs 1 and 2 *)
+let test_oracle_jobs () =
+  let sizes = Modelcheck.universe_sizes in
+  List.iter
+    (fun jobs ->
+      let pool = Mo_par.Pool.create ~jobs () in
+      check_string
+        (Printf.sprintf "verify universe at jobs %d: byte-identical" jobs)
+        (str_verdict (Modelcheck_ref.verify ~pool ~sizes ()))
+        (str_verdict (Modelcheck.verify ~pool ~sizes ()));
+      check_bool
+        (Printf.sprintf "count universe at jobs %d: equal" jobs)
+        true
+        (Modelcheck_ref.count ~pool ~sizes ()
+        = Modelcheck.count ~pool ~sizes ()))
+    [ 1; 2 ]
+
+(* Random predicates, plain and guarded — the inputs mopcd's lattice op
+   takes — placed by both walks: the pruned walk must never decide a
+   subtree the concrete walk counts differently. *)
+let random_preds ~n ~seed0 =
+  List.init n (fun i ->
+      let seed = seed0 + i in
+      if i mod 2 = 0 then Mo_workload.Random_pred.predicate ~seed ()
+      else Mo_workload.Random_pred.guarded_predicate ~seed ())
+
+let check_placements ~pool ~sizes ~kmax preds =
+  let disagreements =
+    List.filter
+      (fun pred ->
+        str_placement (Modelcheck_ref.placement ~pool ~kmax ~sizes pred)
+        <> str_placement (Modelcheck.placement ~pool ~kmax ~sizes pred))
+      preds
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "placement kmax %d, %d random predicates: disagreements"
+       kmax (List.length preds))
+    []
+    (List.map Forbidden.to_string disagreements)
+
+let test_random_placement () =
+  let pool = Mo_par.Pool.create ~jobs:2 () in
+  check_placements ~pool ~sizes:Modelcheck.standard_sizes ~kmax:3
+    (random_preds ~n:200 ~seed0:1);
+  let preds = random_preds ~n:20 ~seed0:1_000 in
+  List.iter
+    (fun kmax ->
+      check_placements ~pool ~sizes:Modelcheck.universe_sizes ~kmax preds)
+    [ 3; 5 ]
+
+(* ---- the CLI ------------------------------------------------------ *)
+
+(* `mopc universe --deep` prints what it printed while the concrete walk
+   was the default; --sym still parses and changes nothing *)
+let deep_output =
+  "sizes (procs,msgs): (2,2) (3,2) (2,3) (3,3) (4,2) (4,3) (3,4) (4,4)   \
+   jobs: 1\n\
+   universe: 940304 runs, |X_sync| = 418136, |X_co| = 572764\n\
+   [ok] X_sync subset of X_co subset of X_async (strict)\n\
+   [ok] Lemma 3.2: X_B1 = X_B2 = X_B3 on every run\n\
+   [ok] Lemma 3.2: X_B2 is exactly the causally ordered runs\n\
+   [ok] Lemma 3.3: the order-0 predicates hold in no run\n"
+
+let mopc args =
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat ".." (Filename.concat "bin" "mopc.exe"))
+  in
+  let ic = Unix.open_process_args_in exe (Array.of_list ("mopc" :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "mopc %s failed" (String.concat " " args)
+
+let test_cli_universe () =
+  check_string "universe --deep" deep_output
+    (mopc [ "universe"; "--deep"; "--jobs"; "1" ]);
+  check_string "universe --deep --sym" deep_output
+    (mopc [ "universe"; "--deep"; "--sym"; "--jobs"; "1" ])
 
 (* ---- the nightly deep arm ----------------------------------------- *)
 
@@ -233,22 +319,18 @@ let test_deep () =
   if not deep then ()
   else begin
     let pool = Mo_par.Pool.create () in
-    let v = Modelcheck.verify ~pool ~sizes:Modelcheck.deep_sizes () in
-    let vs =
-      Modelcheck.verify ~pool ~sym:true ~sizes:Modelcheck.deep_sizes ()
-    in
+    let v = Modelcheck_ref.verify ~pool ~sizes:Modelcheck.deep_sizes () in
+    let vs = Modelcheck.verify ~pool ~sizes:Modelcheck.deep_sizes () in
     check_string "verify deep: byte-identical" (str_verdict v)
       (str_verdict vs);
     check_int "deep runs pinned" 940_304 vs.Modelcheck.counts.Modelcheck.runs;
     (* the vast tier is only ever walked quotiented; its orbit-expanded
        cardinalities are pinned here and in bench B18 *)
-    let c = Modelcheck.count ~pool ~sym:true ~sizes:Modelcheck.vast_sizes () in
+    let c = Modelcheck.count ~pool ~sizes:Modelcheck.vast_sizes () in
     check_int "vast runs pinned" 77_830_564 c.Modelcheck.runs;
     check_int "vast causal pinned" 37_542_704 c.Modelcheck.causal;
     check_int "vast sync pinned" 23_179_456 c.Modelcheck.sync;
-    let vv =
-      Modelcheck.verify ~pool ~sym:true ~sizes:Modelcheck.vast_sizes ()
-    in
+    let vv = Modelcheck.verify ~pool ~sizes:Modelcheck.vast_sizes () in
     check_bool "vast verify: all lemma identities hold" true
       (Modelcheck.ok vv);
     check_bool "vast verify and count agree" true
@@ -275,6 +357,12 @@ let () =
             test_modelcheck_equal;
           Alcotest.test_case "jobs 1/2/4/7 byte-identity" `Quick
             test_jobs_identity;
+          Alcotest.test_case "verify/count vs oracle at jobs 1/2" `Quick
+            test_oracle_jobs;
+          Alcotest.test_case "random-predicate placement vs oracle" `Quick
+            test_random_placement;
+          Alcotest.test_case "mopc universe --deep, with and without --sym"
+            `Quick test_cli_universe;
           Alcotest.test_case "deep + vast tiers (MO_SYM_DEEP)" `Slow test_deep;
         ] );
     ]
