@@ -7,19 +7,17 @@ type outcome = {
   control_packets : int;
 }
 
-type stats = { executions : int; truncated : bool }
+type stats = {
+  executions : int;
+  truncated : bool;
+  replays : int;
+  runs_built : int;
+}
 
 type pending =
   | P_invoke of { proc : int; intent : Protocol.intent }
   | P_arrive of { dst : int; from : int; packet : Message.packet }
   | P_timer of { proc : int; key : int }
-
-(* replay one execution following [choices]; at the first unconsumed choice
-   point return how many alternatives there are *)
-type step_result =
-  | Done of outcome
-  | Branch of int (* pending-event count at the unconsumed choice point *)
-  | Misbehaviour of string
 
 let expand ~nprocs ops =
   (* reuse the simulator's broadcast expansion by time-then-index order;
@@ -49,23 +47,69 @@ let expand ~nprocs ops =
     ops;
   List.rev !intents
 
-let replay ~nprocs factory intents choices =
+(* One search over one workload: what every replay starts from, and the
+   budget, stop flags and work counters every shard's walk shares. *)
+type search = {
+  nprocs : int;
+  factory : Protocol.factory;
+  invokes : Protocol.intent list array;  (** per-process invoke order *)
+  msgs : (int * int) array;
+  colors : int option array;
+  max_executions : int;
+  budget : int Atomic.t;  (** complete executions still allowed *)
+  truncated : bool Atomic.t;
+  error : string option Atomic.t;
+  replays : int Atomic.t;
+  runs_built : int Atomic.t;
+}
+
+let make_search ~max_executions ~nprocs factory ops =
+  let max_executions = max 0 max_executions in
+  let intents = expand ~nprocs ops in
   let nmsgs = List.length intents in
   let msgs = Array.make nmsgs (0, 0) in
   let colors = Array.make nmsgs None in
+  let invokes = Array.make nprocs [] in
   List.iter
     (fun (src, (i : Protocol.intent)) ->
       msgs.(i.Protocol.id) <- (src, i.Protocol.dst);
-      colors.(i.Protocol.id) <- i.Protocol.color)
+      colors.(i.Protocol.id) <- i.Protocol.color;
+      invokes.(src) <- i :: invokes.(src))
     intents;
+  {
+    nprocs;
+    factory;
+    invokes = Array.map List.rev invokes;
+    msgs;
+    colors;
+    max_executions;
+    budget = Atomic.make max_executions;
+    truncated = Atomic.make false;
+    error = Atomic.make None;
+    replays = Atomic.make 0;
+    runs_built = Atomic.make 0;
+  }
+
+(* A complete execution, before any [Run] is built from it. *)
+type leaf = {
+  user_rev : Event.t list array;  (** per-process user events, newest first *)
+  delivered : bool;
+  controls : int;
+}
+
+type replayed = Leaf of leaf | Fail of string
+
+(* Run the protocol from scratch (instances are mutable closures, so there
+   is nothing to snapshot): take [choices], then the first pending event
+   at every further point until nothing is pending. Also returns how many
+   events were pending at each of those further points, in order. *)
+let replay s choices =
+  let nprocs = s.nprocs in
+  let nmsgs = Array.length s.msgs in
   let instances =
-    Array.init nprocs (fun me -> factory.Protocol.make ~nprocs ~me)
+    Array.init nprocs (fun me -> s.factory.Protocol.make ~nprocs ~me)
   in
-  (* per-process invoke queues, fixed order *)
-  let invokes = Array.make nprocs [] in
-  List.iter
-    (fun (src, i) -> invokes.(src) <- invokes.(src) @ [ i ])
-    intents;
+  let invokes = Array.copy s.invokes in
   let arrivals = ref [] in
   (* in-flight packets, stable order *)
   let timers = ref [] in
@@ -73,14 +117,14 @@ let replay ~nprocs factory intents choices =
      every packet in flight has been consumed (quiescence) — a sound
      schedule, and the one that keeps retransmission layers terminating:
      by quiescence every ack has arrived, so the timer is a no-op *)
-  let seq_rev = Array.make nprocs [] in
-  let record p e = seq_rev.(p) <- e :: seq_rev.(p) in
+  let user_rev = Array.make nprocs [] in
+  let record p e = user_rev.(p) <- e :: user_rev.(p) in
   let sent = Array.make nmsgs false
   and received = Array.make nmsgs false
   and delivered = Array.make nmsgs false in
   let control_packets = ref 0 in
   let error = ref None in
-  let fail s = if !error = None then error := Some s in
+  let fail msg = if !error = None then error := Some msg in
   let apply_actions p actions =
     List.iter
       (fun (a : Protocol.action) ->
@@ -92,7 +136,7 @@ let replay ~nprocs factory intents choices =
             else if sent.(u.Message.id) then fail "message sent twice"
             else begin
               sent.(u.Message.id) <- true;
-              record p { Event.Sys.msg = u.Message.id; kind = Event.Sys.Send };
+              record p (Event.send u.Message.id);
               arrivals :=
                 !arrivals
                 @ [
@@ -109,10 +153,11 @@ let replay ~nprocs factory intents choices =
             if id < 0 || id >= nmsgs then fail "unknown delivery id"
             else if not received.(id) then fail "delivered before receive"
             else if delivered.(id) then fail "delivered twice"
-            else if snd msgs.(id) <> p then fail "delivered at wrong process"
+            else if snd s.msgs.(id) <> p then
+              fail "delivered at wrong process"
             else begin
               delivered.(id) <- true;
-              record p { Event.Sys.msg = id; kind = Event.Sys.Deliver }
+              record p (Event.deliver id)
             end
         | Protocol.Send_framed { dst; rel; packet; retransmit } -> (
             let enqueue () =
@@ -140,8 +185,7 @@ let replay ~nprocs factory intents choices =
                 else if sent.(u.Message.id) then fail "message sent twice"
                 else begin
                   sent.(u.Message.id) <- true;
-                  record p
-                    { Event.Sys.msg = u.Message.id; kind = Event.Sys.Send };
+                  record p (Event.send u.Message.id);
                   enqueue ()
                 end
             | Message.Control _ ->
@@ -168,94 +212,183 @@ let replay ~nprocs factory intents choices =
     match ev with
     | P_invoke { proc; intent } ->
         invokes.(proc) <- List.tl invokes.(proc);
-        record proc
-          { Event.Sys.msg = intent.Protocol.id; kind = Event.Sys.Invoke };
         apply_actions proc (instances.(proc).Protocol.on_invoke ~now:0 intent)
     | P_arrive { dst; from; packet } ->
         arrivals := List.filter (fun e -> e != ev) !arrivals;
         (match packet with
         | Message.User u | Message.Framed { inner = Message.User u; _ } ->
-            if not received.(u.Message.id) then begin
-              received.(u.Message.id) <- true;
-              record dst
-                { Event.Sys.msg = u.Message.id; kind = Event.Sys.Receive }
-            end
+            received.(u.Message.id) <- true
         | Message.Control _ | Message.Framed _ -> ());
         apply_actions dst (instances.(dst).Protocol.on_packet ~now:0 ~from packet)
     | P_timer { proc; key } ->
         timers := List.filter (fun e -> e != ev) !timers;
         apply_actions proc (instances.(proc).Protocol.on_timer ~now:0 ~key)
   in
-  let rec consume = function
-    | [] -> (
-        match (!error, pending ()) with
-        | Some e, _ -> Misbehaviour e
-        | None, [] ->
-            let all_delivered = Array.for_all Fun.id delivered in
-            let run =
-              if not all_delivered then None
-              else
-                let user_seq =
-                  Array.map
-                    (fun events ->
-                      List.filter_map
-                        (fun (e : Event.Sys.t) ->
-                          match e.kind with
-                          | Event.Sys.Send -> Some (Event.send e.msg)
-                          | Event.Sys.Deliver -> Some (Event.deliver e.msg)
-                          | Event.Sys.Invoke | Event.Sys.Receive -> None)
-                        (List.rev events))
-                    seq_rev
-                in
-                match Run.of_sequences ~nprocs ~msgs ~colors user_seq with
-                | Ok r -> Some r
-                | Error _ -> None
-            in
-            Done
-              {
-                run;
-                all_delivered;
-                control_packets = !control_packets;
-              }
-        | None, ps -> Branch (List.length ps))
-    | c :: rest -> (
-        match !error with
-        | Some e -> Misbehaviour e
-        | None -> (
-            let ps = pending () in
+  let rec step choices fresh =
+    match !error with
+    | Some e -> (Fail e, [])
+    | None -> (
+        let ps = pending () in
+        match (choices, ps) with
+        | c :: rest, _ -> (
             match List.nth_opt ps c with
             | Some ev ->
                 exec_event ev;
-                consume rest
-            | None -> Misbehaviour "internal: stale choice"))
+                step rest fresh
+            | None -> (Fail "internal: stale choice", []))
+        | [], [] ->
+            ( Leaf
+                {
+                  user_rev;
+                  delivered = Array.for_all Fun.id delivered;
+                  controls = !control_packets;
+                },
+              List.rev fresh )
+        | [], ev :: _ ->
+            exec_event ev;
+            step [] (List.length ps :: fresh))
   in
-  consume choices
+  step choices []
+
+(* Visit every complete execution below [prefix] in DFS order, replaying
+   each exactly once: after a leaf, bump the deepest choice below the
+   prefix that has an untried alternative and cut the path after it. The
+   walk never backtracks above [prefix]. A replay runs only while the
+   shared budget allows another execution, so [truncated] is set exactly
+   when a schedule exists past the budget. *)
+let walk s prefix ~on_leaf =
+  let replays = ref 0 in
+  (* [below]: the (choice, pending count) pairs under the prefix, deepest
+     first *)
+  let push below n = (0, n) :: below in
+  let rec advance = function
+    | (c, n) :: rest when c + 1 < n -> Some ((c + 1, n) :: rest)
+    | _ :: rest -> advance rest
+    | [] -> None
+  in
+  let rec go below =
+    if Atomic.get s.truncated || Atomic.get s.error <> None then ()
+    else if Atomic.get s.budget <= 0 then Atomic.set s.truncated true
+    else begin
+      incr replays;
+      match replay s (prefix @ List.rev_map fst below) with
+      | Fail e, _ -> ignore (Atomic.compare_and_set s.error None (Some e))
+      | Leaf l, fresh -> (
+          if Atomic.fetch_and_add s.budget (-1) <= 0 then
+            Atomic.set s.truncated true
+          else begin
+            on_leaf l;
+            match advance (List.fold_left push below fresh) with
+            | Some below -> go below
+            | None -> ()
+          end)
+    end
+  in
+  go [];
+  ignore (Atomic.fetch_and_add s.replays !replays)
+
+(* BFS-expand the root of the schedule tree into choice prefixes until
+   there are enough subtrees to feed every worker, or the tree proves
+   shallow. Prefixes whose replay already completes (or misbehaves) stay
+   as leaves; expanding a prefix replaces it by its children in choice
+   order, so reading the final list left to right visits subtrees exactly
+   in sequential DFS order. *)
+let shard_prefixes s ~target =
+  let children prefix =
+    Atomic.incr s.replays;
+    match replay s prefix with
+    | Leaf _, n :: _ -> List.init n (fun i -> prefix @ [ i ])
+    | _ -> []
+  in
+  let rec grow depth frontier nleaves =
+    if depth >= 4 || nleaves >= target then frontier
+    else begin
+      let expanded = ref false in
+      let nleaves = ref 0 in
+      let next =
+        List.concat_map
+          (fun (leaf, prefix) ->
+            match if leaf then [] else children prefix with
+            | [] ->
+                incr nleaves;
+                [ (true, prefix) ]
+            | cs ->
+                expanded := true;
+                nleaves := !nleaves + List.length cs;
+                List.map (fun c -> (false, c)) cs)
+          frontier
+      in
+      if !expanded then grow (depth + 1) next !nleaves else next
+    end
+  in
+  List.map snd (grow 0 [ (false, []) ] 1)
+
+(* Fold [f] over the leaves in DFS order: one walk over the root prefix
+   without a pool (or on one job), otherwise one walk per shard, merged in
+   shard order. *)
+let fold_leaves ?pool s ~init ~f ~merge =
+  let shard prefix =
+    let acc = ref init in
+    walk s prefix ~on_leaf:(fun l -> acc := f !acc l);
+    !acc
+  in
+  let acc =
+    match pool with
+    | Some pool when Mo_par.Pool.jobs pool > 1 ->
+        let shards =
+          Array.of_list
+            (shard_prefixes s ~target:(Mo_par.Pool.jobs pool * 8))
+        in
+        Mo_par.Pool.fold pool (Array.length shards)
+          ~f:(fun i -> shard shards.(i))
+          ~merge ~init
+    | _ -> shard []
+  in
+  match Atomic.get s.error with
+  | Some e -> Error e
+  | None ->
+      Ok
+        ( acc,
+          {
+            executions = s.max_executions - max 0 (Atomic.get s.budget);
+            truncated = Atomic.get s.truncated;
+            replays = Atomic.get s.replays;
+            runs_built = Atomic.get s.runs_built;
+          } )
+
+let build_run s l =
+  Atomic.incr s.runs_built;
+  match
+    Run.of_sequences ~nprocs:s.nprocs ~msgs:s.msgs ~colors:s.colors
+      (Array.map List.rev l.user_rev)
+  with
+  | Ok r -> Some r
+  | Error _ -> None
+
+let outcome_of s l =
+  {
+    run = (if l.delivered then build_run s l else None);
+    all_delivered = l.delivered;
+    control_packets = l.controls;
+  }
+
+let with_pool pool k =
+  match pool with Some p -> k p | None -> k (Mo_par.Pool.create ())
 
 let explore ?(max_executions = 200_000) ~nprocs factory ops ~on_outcome =
-  let intents = expand ~nprocs ops in
-  let executions = ref 0 in
-  let truncated = ref false in
-  let error = ref None in
-  let rec dfs choices =
-    if !truncated || !error <> None then ()
-    else
-      match replay ~nprocs factory intents choices with
-      | Misbehaviour e -> error := Some e
-      | Done outcome ->
-          incr executions;
-          if !executions >= max_executions then truncated := true;
-          on_outcome outcome
-      | Branch n ->
-          let i = ref 0 in
-          while !i < n && (not !truncated) && !error = None do
-            dfs (choices @ [ !i ]);
-            incr i
-          done
-  in
-  dfs [];
-  match !error with
-  | Some e -> Error e
-  | None -> Ok { executions = !executions; truncated = !truncated }
+  let s = make_search ~max_executions ~nprocs factory ops in
+  fold_leaves s ~init:()
+    ~f:(fun () l -> on_outcome (outcome_of s l))
+    ~merge:(fun () () -> ())
+  |> Result.map snd
+
+let explore_par ?pool ?(max_executions = 200_000) ~nprocs factory ops ~init ~f
+    ~merge () =
+  let s = make_search ~max_executions ~nprocs factory ops in
+  with_pool pool (fun pool ->
+      fold_leaves ~pool s ~init
+        ~f:(fun acc l -> f acc (outcome_of s l))
+        ~merge)
 
 let view_key r =
   String.concat "|"
@@ -265,135 +398,55 @@ let view_key r =
               (fun e -> string_of_int (Event.encode e))
               (Run.sequence r p))))
 
-let distinct_user_views ?max_executions ~nprocs factory ops =
-  let seen = Hashtbl.create 64 in
-  let runs = ref [] in
-  match
-    explore ?max_executions ~nprocs factory ops ~on_outcome:(fun o ->
-        match o.run with
-        | Some r ->
-            let k = view_key r in
-            if not (Hashtbl.mem seen k) then begin
-              Hashtbl.replace seen k ();
-              runs := r :: !runs
-            end
-        | None -> ())
-  with
-  | Ok _ -> Ok (List.rev !runs)
-  | Error e -> Error e
-
-(* ---- parallel exploration ---- *)
-
-(* BFS-expand the root of the schedule tree into choice prefixes until
-   there are enough subtrees to feed every worker, or the tree proves
-   shallow. Prefixes whose replay already completes (or misbehaves) stay
-   as leaves; expanding a Branch replaces the prefix by its children in
-   choice order, so reading the final list left to right visits subtrees
-   exactly in sequential DFS order. *)
-let shard_prefixes ~target ~nprocs factory intents =
-  let max_depth = 4 in
-  let rec grow depth frontier nleaves =
-    if depth >= max_depth || nleaves >= target then frontier
+(* A leaf's view as bytes: each event's [Event.encode + 1] as a varint
+   (no byte is 0), processes separated by a 0 byte. Two leaves share a key
+   iff their runs share a [view_key]. *)
+let leaf_key l =
+  let b = Buffer.create 32 in
+  let rec code v =
+    if v < 128 then Buffer.add_char b (Char.chr v)
     else begin
-      let expanded = ref false in
-      let nleaves = ref 0 in
-      let next =
-        List.concat_map
-          (fun (leaf, prefix) ->
-            if leaf then begin
-              incr nleaves;
-              [ (true, prefix) ]
-            end
-            else
-              match replay ~nprocs factory intents prefix with
-              | Done _ | Misbehaviour _ ->
-                  incr nleaves;
-                  [ (true, prefix) ]
-              | Branch n ->
-                  expanded := true;
-                  nleaves := !nleaves + n;
-                  List.init n (fun i -> (false, prefix @ [ i ])))
-          frontier
-      in
-      if !expanded then grow (depth + 1) next !nleaves else next
+      Buffer.add_char b (Char.chr (128 lor (v land 127)));
+      code (v lsr 7)
     end
   in
-  List.map snd (grow 0 [ (false, []) ] 1)
+  Array.iter
+    (fun evs ->
+      List.iter (fun e -> code (Event.encode e + 1)) evs;
+      Buffer.add_char b '\000')
+    l.user_rev;
+  Buffer.contents b
 
-let explore_par ?pool ?(max_executions = 200_000) ~nprocs factory ops ~init ~f
-    ~merge () =
-  let intents = expand ~nprocs ops in
-  let with_pool k =
-    match pool with Some p -> k p | None -> k (Mo_par.Pool.create ())
-  in
-  with_pool (fun pool ->
-      let jobs = Mo_par.Pool.jobs pool in
-      let shards =
-        Array.of_list
-          (shard_prefixes ~target:(jobs * 8) ~nprocs factory intents)
-      in
-      (* the execution budget is shared: exactly [max_executions] complete
-         executions are folded in total, mirroring the sequential
-         truncation point. Which executions survive truncation is
-         schedule-dependent for jobs > 1 — runs that never truncate (the
-         only ones the tests pin) are byte-identical at every job
-         count. *)
-      let budget = Atomic.make max_executions in
-      let truncated = Atomic.make false in
-      let error = Atomic.make None in
-      let stop () = Atomic.get truncated || Atomic.get error <> None in
-      let run_shard i =
-        let acc = ref init in
-        let rec dfs choices =
-          if stop () then ()
-          else
-            match replay ~nprocs factory intents choices with
-            | Misbehaviour e ->
-                ignore (Atomic.compare_and_set error None (Some e))
-            | Done outcome ->
-                let before = Atomic.fetch_and_add budget (-1) in
-                if before <= 0 then Atomic.set truncated true
-                else begin
-                  if before = 1 then Atomic.set truncated true;
-                  acc := f !acc outcome
-                end
-            | Branch n ->
-                let i = ref 0 in
-                while !i < n && not (stop ()) do
-                  dfs (choices @ [ !i ]);
-                  incr i
-                done
-        in
-        dfs shards.(i);
-        !acc
-      in
-      let total =
-        Mo_par.Pool.fold pool (Array.length shards) ~f:run_shard ~merge ~init
-      in
-      match Atomic.get error with
-      | Some e -> Error e
-      | None ->
-          let executions = max_executions - max 0 (Atomic.get budget) in
-          Ok (total, { executions; truncated = Atomic.get truncated }))
+(* First schedule reaching a view wins; a [Run] is built only for a key
+   not seen before. *)
+type views = { keys : Sset.t; runs_rev : (string * Run.t) list }
 
-type views = { vkeys : Sset.t; vruns_rev : Run.t list }
+let no_views = { keys = Sset.empty; runs_rev = [] }
 
-let views_add acc r =
-  let k = view_key r in
-  if Sset.mem k acc.vkeys then acc
-  else { vkeys = Sset.add k acc.vkeys; vruns_rev = r :: acc.vruns_rev }
+let add_view acc (k, r) =
+  if Sset.mem k acc.keys then acc
+  else { keys = Sset.add k acc.keys; runs_rev = (k, r) :: acc.runs_rev }
 
-let distinct_user_views_par ?pool ?max_executions ~nprocs factory ops =
-  match
-    explore_par ?pool ?max_executions ~nprocs factory ops
-      ~init:{ vkeys = Sset.empty; vruns_rev = [] }
-      ~f:(fun acc o ->
-        match o.run with Some r -> views_add acc r | None -> acc)
-      ~merge:(fun a b ->
-        (* first occurrence wins, shards in DFS order: same dedup order
-           as the sequential Hashtbl pass *)
-        List.fold_left views_add a (List.rev b.vruns_rev))
-      ()
-  with
-  | Ok (acc, stats) -> Ok (List.rev acc.vruns_rev, stats)
-  | Error e -> Error e
+let add_leaf s acc l =
+  if not l.delivered then acc
+  else
+    let k = leaf_key l in
+    if Sset.mem k acc.keys then acc
+    else
+      match build_run s l with Some r -> add_view acc (k, r) | None -> acc
+
+(* shards arrive in DFS order, so the first occurrence still wins *)
+let merge_views a b = List.fold_left add_view a (List.rev b.runs_rev)
+
+let fold_views ?pool ~max_executions ~nprocs factory ops =
+  let s = make_search ~max_executions ~nprocs factory ops in
+  fold_leaves ?pool s ~init:no_views ~f:(add_leaf s) ~merge:merge_views
+  |> Result.map (fun (v, stats) -> (List.rev_map snd v.runs_rev, stats))
+
+let distinct_user_views ?(max_executions = 200_000) ~nprocs factory ops =
+  fold_views ~max_executions ~nprocs factory ops |> Result.map fst
+
+let distinct_user_views_par ?pool ?(max_executions = 200_000) ~nprocs factory
+    ops =
+  with_pool pool (fun pool ->
+      fold_views ~pool ~max_executions ~nprocs factory ops)

@@ -243,7 +243,9 @@ let test_misbehaviour_detected () =
             on_packet =
               (fun ~now:_ ~from:_ -> function
                 | Message.User u ->
-                    [ Protocol.Deliver u.Message.id; Protocol.Deliver u.Message.id ]
+                    [
+                    Protocol.Deliver u.Message.id; Protocol.Deliver u.Message.id;
+                  ]
                 | Message.Control _ | Message.Framed _ -> []);
             on_timer = Protocol.no_timer;
             pending_depth = (fun () -> 0);
@@ -281,6 +283,234 @@ let test_matches_inhibit_oracle () =
     (List.sort compare (List.map key oracle))
     (List.sort compare (List.map key impl))
 
+(* ------------------------------------------------------------------ *)
+(* Differential: the in-place walk against the replay-from-root DFS     *)
+
+(* what a consumer can observe of one outcome *)
+let fingerprint (o : Explore.outcome) =
+  ( Option.map Explore.view_key o.Explore.run,
+    o.Explore.all_delivered,
+    o.Explore.control_packets )
+
+(* a protocol that raises is reported like a misbehaviour: both walks
+   must raise the same exception after the same outcomes *)
+let catching f = try f () with e -> Error ("raised " ^ Printexc.to_string e)
+
+(* the outcome sequence in order, plus [executions] and [truncated] or
+   the misbehaviour message *)
+let observe explore =
+  let seen = ref [] in
+  let result =
+    catching (fun () ->
+        explore ~on_outcome:(fun o -> seen := fingerprint o :: !seen)
+        |> Result.map (fun (s : Explore.stats) ->
+               (s.Explore.executions, s.Explore.truncated)))
+  in
+  (List.rev !seen, result)
+
+(* the first-wins distinct views of an outcome sequence *)
+let first_wins outcomes =
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (function
+      | Some k, _, _ when not (Hashtbl.mem seen k) ->
+          Hashtbl.replace seen k ();
+          Some k
+      | _ -> None)
+    outcomes
+
+(* delivers on arrival, except that a message arriving after a later one
+   from the same sender is delivered twice: it misbehaves only under some
+   schedules, after others have completed *)
+let overtake_broken =
+  {
+    Protocol.proto_name = "overtake-broken";
+    kind = Protocol.General;
+    make =
+      (fun ~nprocs ~me ->
+        let last = Array.make nprocs (-1) in
+        {
+          Protocol.on_invoke =
+            (fun ~now:_ (i : Protocol.intent) ->
+              [
+                Protocol.Send_user
+                  {
+                    Message.id = i.Protocol.id;
+                    src = me;
+                    dst = i.Protocol.dst;
+                    color = None;
+                    payload = 0;
+                    tag = Message.No_tag;
+                  };
+              ]);
+          on_packet =
+            (fun ~now:_ ~from -> function
+              | Message.User u when u.Message.id < last.(from) ->
+                  let id = u.Message.id in
+                  [ Protocol.Deliver id; Protocol.Deliver id ]
+              | Message.User u ->
+                  last.(from) <- u.Message.id;
+                  [ Protocol.Deliver u.Message.id ]
+              | Message.Control _ | Message.Framed _ -> []);
+          on_timer = Protocol.no_timer;
+          pending_depth = (fun () -> 0);
+        });
+  }
+
+(* every protocol `mopc explore` lists, the reliability wrapper (the
+   timer path) and a broken protocol *)
+let differential_protocols =
+  [
+    ("tagless", Tagless.factory);
+    ("fifo", Fifo.factory);
+    ("rst", Causal_rst.factory);
+    ("ses", Causal_ses.factory);
+    ("bss", Causal_bss.factory);
+    ("sync", Sync_token.factory);
+    ("sync-priority", Sync_priority.factory);
+    ("flush", Flush.factory);
+    ("to", Total_order.factory);
+    ("reliable fifo", Wrap.reliable Fifo.factory);
+    ("overtake-broken", overtake_broken);
+  ]
+
+let differential_workloads =
+  let open Mo_workload in
+  [
+    ("2x3", 2, (Gen.uniform ~nprocs:2 ~nmsgs:3 ~seed:42).Gen.ops);
+    ("3x3", 3, (Gen.uniform ~nprocs:3 ~nmsgs:3 ~seed:42).Gen.ops);
+    ("broadcast", 3, (Gen.broadcast ~nprocs:3 ~nbcasts:2 ~seed:42).Gen.ops);
+  ]
+
+let differential_budget = 3_000
+
+let check_against_ref ~label ~max_executions ~nprocs factory ops =
+  let ((ref_outcomes, ref_result) as expected) =
+    observe (Explore_ref.explore ~max_executions ~nprocs factory ops)
+  in
+  let same what a b = check_bool (label ^ ": " ^ what) true (a = b) in
+  same "explore outcomes and result" expected
+    (observe (Explore.explore ~max_executions ~nprocs factory ops));
+  let ref_views = first_wins ref_outcomes in
+  (match ref_result with
+  | Ok (_, false) ->
+      same "distinct_user_views" (Ok ref_views)
+        (Explore.distinct_user_views ~max_executions ~nprocs factory ops
+        |> Result.map (List.map Explore.view_key))
+  | Ok (_, true) | Error _ -> ());
+  List.iter
+    (fun jobs ->
+      let label = Printf.sprintf "%s at %d jobs" label jobs in
+      let same what a b = check_bool (label ^ ": " ^ what) true (a = b) in
+      let pool = Mo_par.Pool.create ~jobs () in
+      let par =
+        catching (fun () ->
+            Explore.explore_par ~pool ~max_executions ~nprocs factory ops
+              ~init:[]
+              ~f:(fun acc o -> fingerprint o :: acc)
+              ~merge:(fun a b -> b @ a) ())
+      in
+      let views =
+        catching (fun () ->
+            Explore.distinct_user_views_par ~pool ~max_executions ~nprocs
+              factory ops)
+      in
+      match ref_result with
+      | Error e ->
+          same "misbehaviour" (Error e) (Result.map (fun _ -> ()) par);
+          same "views misbehaviour" (Error e) (Result.map (fun _ -> ()) views)
+      | Ok (executions, truncated) -> (
+          let result (s : Explore.stats) =
+            (s.Explore.executions, s.Explore.truncated)
+          in
+          match (par, views) with
+          | Ok (acc, stats), Ok (vs, vstats) ->
+              same "explore_par result" (executions, truncated) (result stats);
+              same "views result" (executions, truncated) (result vstats);
+              (* which outcomes survive a truncation may vary with jobs *)
+              if jobs = 1 || not truncated then begin
+                same "explore_par outcomes" ref_outcomes (List.rev acc);
+                same "distinct_user_views_par"
+                  (first_wins ref_outcomes)
+                  (List.map Explore.view_key vs)
+              end
+          | Error e, _ | _, Error e ->
+              Alcotest.failf "%s: unexpected misbehaviour %s" label e))
+    [ 1; 2; 4 ]
+
+let test_differential_vs_ref () =
+  List.iter
+    (fun (pname, factory) ->
+      List.iter
+        (fun (wname, nprocs, ops) ->
+          check_against_ref
+            ~label:(pname ^ " on " ^ wname)
+            ~max_executions:differential_budget ~nprocs factory ops)
+        differential_workloads)
+    differential_protocols
+
+let test_differential_exact_budget () =
+  (* a search that ends exactly at its budget is complete; one execution
+     less is truncated *)
+  List.iter
+    (fun (pname, factory, ops) ->
+      let nprocs = 2 in
+      let executions =
+        match Explore_ref.explore ~nprocs factory ops ~on_outcome:ignore with
+        | Ok s -> s.Explore.executions
+        | Error e -> Alcotest.fail e
+      in
+      List.iter
+        (fun max_executions ->
+          check_against_ref
+            ~label:(Printf.sprintf "%s, budget %d" pname max_executions)
+            ~max_executions ~nprocs factory ops)
+        [ executions; executions - 1 ])
+    [
+      ("fifo", Fifo.factory, two_same_channel @ crossing);
+      ("sync", Sync_token.factory, crossing);
+      ("reliable fifo", Wrap.reliable Fifo.factory, two_same_channel);
+    ]
+
+(* the benchmark's explore workload: fifo, 2 processes, 6 messages *)
+let fifo_2x6 =
+  (Mo_workload.Gen.uniform ~nprocs:2 ~nmsgs:6 ~seed:42).Mo_workload.Gen.ops
+
+let test_work_counters () =
+  (* one replay per execution and one Run per distinct view *)
+  match
+    Explore.distinct_user_views_par ~pool:(Mo_par.Pool.create ~jobs:1 ())
+      ~max_executions:207_900 ~nprocs:2 Fifo.factory fifo_2x6
+  with
+  | Error e -> Alcotest.fail e
+  | Ok (views, s) ->
+      check_int "views" 175 (List.length views);
+      check_int "executions" 207_900 s.Explore.executions;
+      check_bool "not truncated" false s.Explore.truncated;
+      check_int "replays" 207_900 s.Explore.replays;
+      check_int "runs built" 175 s.Explore.runs_built
+
+let test_exact_budget_fifo_2x6 () =
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (max_executions, truncated) ->
+          match
+            Explore.distinct_user_views_par
+              ~pool:(Mo_par.Pool.create ~jobs ())
+              ~max_executions ~nprocs:2 Fifo.factory fifo_2x6
+          with
+          | Error e -> Alcotest.fail e
+          | Ok (_, s) ->
+              let label =
+                Printf.sprintf "--max %d at %d jobs" max_executions jobs
+              in
+              check_int (label ^ ": executions") max_executions
+                s.Explore.executions;
+              check_bool (label ^ ": truncated") truncated s.Explore.truncated)
+        [ (207_900, false); (207_899, true) ])
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "explore"
     [
@@ -311,5 +541,16 @@ let () =
             test_misbehaviour_detected;
           Alcotest.test_case "matches inhibit oracle" `Quick
             test_matches_inhibit_oracle;
+        ] );
+      ( "walk",
+        [
+          Alcotest.test_case "differential vs replay-from-root DFS" `Quick
+            test_differential_vs_ref;
+          Alcotest.test_case "differential at an exact budget" `Quick
+            test_differential_exact_budget;
+          Alcotest.test_case "work counters on fifo 2x6" `Quick
+            test_work_counters;
+          Alcotest.test_case "exact budget on fifo 2x6" `Quick
+            test_exact_budget_fifo_2x6;
         ] );
     ]
