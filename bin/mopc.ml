@@ -763,7 +763,7 @@ let monitor_pred input window text =
           let window =
             match window with
             | Some w -> w
-            | None -> Mo_order.Monitor.max_window
+            | None -> Mo_order.Monitor.default_window
           in
           let feed () =
             let t =
@@ -845,8 +845,11 @@ let monitor_cmd =
       & opt (some int) None
       & info [ "window" ] ~docv:"N"
           ~doc:
-            "retire delivered messages beyond the most recent N (bounded \
-             memory; only used with $(b,--pred), default the maximum)")
+            (Printf.sprintf
+               "retire delivered messages beyond the most recent N \
+                (bounded memory; only used with $(b,--pred), default %d, \
+                at most %d)"
+               Mo_order.Monitor.default_window Mo_order.Monitor.max_window))
   in
   Cmd.v (Cmd.info "monitor" ~doc)
     T.(const monitor_run $ diagram_flag $ pred_opt $ window_opt $ path_arg)

@@ -398,14 +398,19 @@ let holds ?distinct p run = holds_c ?distinct (compile p) run
 let satisfies ?distinct p run = satisfies_c ?distinct (compile p) run
 
 (* ------------------------------------------------------------------ *)
-(* Matching directly over raw mask rows.                              *)
+(* Matching directly over a monitor's slot rows.                      *)
 (* ------------------------------------------------------------------ *)
 
 module Masked = struct
-  type matcher = { c : compiled; distinct : bool; assignment : int array }
+  type matcher = {
+    c : compiled;
+    distinct : bool;
+    assignment : int array;
+    mutable used : int array; (* slot set, grown to the rows' width *)
+  }
 
   let make ?(distinct = true) c =
-    { c; distinct; assignment = Array.make (max c.m 1) (-1) }
+    { c; distinct; assignment = Array.make (max c.m 1) (-1); used = [||] }
 
   (* Attribute guards over plain int arrays: [-1] means unknown, and an
      unknown attribute satisfies no guard (colors and processes are
@@ -420,13 +425,17 @@ module Masked = struct
         a >= 0 && a = dst.(assignment.(y))
     | Term.Color_is (x, c) -> color.(assignment.(x)) = c
 
-  exception Done
+  exception Found
 
-  let rec self_ok masks n c = function
+  let bits = Monitor.word_bits
+
+  (* a self-conjunct is one bit test of the row's diagonal: slot c is
+     bit [b] of word [w] *)
+  let rec self_ok (row : int array) nw w b = function
     | [] -> true
     | (cj : Term.conjunct) :: rest ->
         let k = sel_index (fwd_sel cj.before.point cj.after.point) in
-        masks.((k * n) + c) land (1 lsl c) <> 0 && self_ok masks n c rest
+        row.((k * nw) + w) land b <> 0 && self_ok row nw w b rest
 
   let rec guards_ok ~src ~dst ~color assignment = function
     | [] -> true
@@ -434,124 +443,62 @@ module Masked = struct
         guard_ok ~src ~dst ~color assignment g
         && guards_ok ~src ~dst ~color assignment rest
 
-  (* [run_plan_masks] with the run replaced by raw rows of stride [n]
-     and a [live] occupancy mask: the streaming monitor's frontier
-     ({!Mo_order.Monitor}) is matched in place, between events. This is
-     the per-event hot path of [Pmon.check], so the search loop is kept
-     allocation-free (B15 holds it to >= 1M events/sec). *)
-  let run_plan u plan ~n ~live ~masks ~src ~dst ~color emit =
-    let m = u.c.m in
-    if m = 0 then ignore (emit u.assignment)
-    else if live <> 0 then begin
-      let assignment = u.assignment in
-      let used = ref 0 in
+  (* The staged search of [run_plan_masks] over the monitor's slot rows,
+     in place, between events: each stage's candidates are computed one
+     word at a time and visited in ascending slot order. This is the
+     per-event hot path of [Pmon], so it allocates only the witness. *)
+  let find u ~live ~(rows : int array array) ~src ~dst ~color =
+    let m = u.c.m and nw = Array.length live in
+    if m = 0 then Some [||]
+    else begin
+      (* a found witness leaves its slots in [used]: start from empty *)
+      if Array.length u.used < nw then u.used <- Array.make nw 0
+      else
+        for w = 0 to nw - 1 do
+          u.used.(w) <- 0
+        done;
+      let plan = u.c.fast and assignment = u.assignment and used = u.used in
       let rec go i =
-        if i = m then begin
-          if not (emit assignment) then raise_notrace Done
-        end
+        if i = m then raise_notrace Found
         else begin
           let st = plan.(i) in
-          let rows = st.rows in
-          let cand =
-            ref (if u.distinct then live land lnot !used else live)
-          in
-          for ri = 0 to Array.length rows - 1 do
-            let w, s = rows.(ri) in
-            cand := !cand land masks.((sel_index s * n) + assignment.(w))
-          done;
-          let cand = !cand in
-          if cand <> 0 then
-            for c = 0 to n - 1 do
-              if cand land (1 lsl c) <> 0 then begin
+          let srows = st.rows in
+          for w = 0 to nw - 1 do
+            let cand =
+              ref
+                (if u.distinct then live.(w) land lnot used.(w)
+                 else live.(w))
+            in
+            for ri = 0 to Array.length srows - 1 do
+              let v, s = srows.(ri) in
+              cand :=
+                !cand land rows.(assignment.(v)).((sel_index s * nw) + w)
+            done;
+            let rest = ref !cand and c = ref (w * bits) and b = ref 1 in
+            while !rest <> 0 do
+              if !rest land 1 <> 0 then begin
+                let c = !c and b = !b in
                 assignment.(st.var) <- c;
                 if
-                  self_ok masks n c st.self_conj
+                  self_ok rows.(c) nw w b st.self_conj
                   && guards_ok ~src ~dst ~color assignment st.sguards
-                then begin
-                  if u.distinct then used := !used lor (1 lsl c);
-                  go (i + 1);
-                  if u.distinct then used := !used land lnot (1 lsl c)
-                end
-              end
+                then
+                  if u.distinct then begin
+                    used.(w) <- used.(w) lor b;
+                    go (i + 1);
+                    used.(w) <- used.(w) land lnot b
+                  end
+                  else go (i + 1)
+              end;
+              rest := !rest lsr 1;
+              incr c;
+              b := !b lsl 1
             done
+          done
         end
       in
-      try go 0 with Done -> ()
+      match go 0 with
+      | () -> None
+      | exception Found -> Some (Array.copy assignment)
     end
-
-  let holds u ~n ~live ~masks ~src ~dst ~color =
-    let found = ref false in
-    run_plan u u.c.fast ~n ~live ~masks ~src ~dst ~color (fun _ ->
-        found := true;
-        false);
-    !found
-
-  let find u ~n ~live ~masks ~src ~dst ~color =
-    let res = ref None in
-    run_plan u u.c.fast ~n ~live ~masks ~src ~dst ~color (fun a ->
-        res := Some (Array.copy a);
-        false);
-    !res
-
-  let rec self_ok_wide rel n c = function
-    | [] -> true
-    | (cj : Term.conjunct) :: rest ->
-        let k = sel_index (fwd_sel cj.before.point cj.after.point) in
-        Bitset.mem rel.((k * n) + c) c && self_ok_wide rel n c rest
-
-  (* the wide-window twin of [run_plan]: the same staged search over the
-     Bitset rows of a wide monitor (cf. [run_plan_bitsets]). Scratch is
-     allocated per call — the wide path trades the packed loop's
-     allocation-free discipline for width *)
-  let run_plan_wide u plan ~n ~live ~rel ~src ~dst ~color emit =
-    let m = u.c.m in
-    if m = 0 then ignore (emit u.assignment)
-    else if not (Bitset.is_empty live) then begin
-      let assignment = u.assignment in
-      let scratch = Array.init m (fun _ -> Bitset.create n) in
-      let used = Bitset.create n in
-      let rec go i =
-        if i = m then begin
-          if not (emit assignment) then raise_notrace Done
-        end
-        else begin
-          let st = plan.(i) in
-          let cand = scratch.(i) in
-          Bitset.copy_into ~dst:cand live;
-          if u.distinct then Bitset.diff_into ~dst:cand used;
-          Array.iter
-            (fun (w, s) ->
-              Bitset.inter_into ~dst:cand
-                rel.((sel_index s * n) + assignment.(w)))
-            st.rows;
-          Bitset.iter
-            (fun c ->
-              assignment.(st.var) <- c;
-              if
-                self_ok_wide rel n c st.self_conj
-                && guards_ok ~src ~dst ~color assignment st.sguards
-              then begin
-                if u.distinct then Bitset.add used c;
-                go (i + 1);
-                if u.distinct then Bitset.remove used c
-              end)
-            cand
-        end
-      in
-      try go 0 with Done -> ()
-    end
-
-  let holds_wide u ~n ~live ~rel ~src ~dst ~color =
-    let found = ref false in
-    run_plan_wide u u.c.fast ~n ~live ~rel ~src ~dst ~color (fun _ ->
-        found := true;
-        false);
-    !found
-
-  let find_wide u ~n ~live ~rel ~src ~dst ~color =
-    let res = ref None in
-    run_plan_wide u u.c.fast ~n ~live ~rel ~src ~dst ~color (fun a ->
-        res := Some (Array.copy a);
-        false);
-    !res
 end

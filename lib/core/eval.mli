@@ -71,14 +71,14 @@ val holds_c : ?distinct:bool -> compiled -> Mo_order.Run.Abstract.t -> bool
 
 val satisfies_c : ?distinct:bool -> compiled -> Mo_order.Run.Abstract.t -> bool
 
-(** {1 Matching over raw mask rows}
+(** {1 Matching over a monitor's slot rows}
 
     The compiled plans evaluated directly against relation rows owned by
     someone else — in practice the streaming frontier of
-    {!Mo_order.Monitor}, whose [masks]/[live]/attribute arrays have
-    exactly this shape. No run value, no allocation per query: a
-    [matcher] carries reusable scratch, so one per monitor (they are
-    single-threaded, like the monitor itself). *)
+    {!Mo_order.Monitor}, whose [live]/[rows]/attribute arrays have
+    exactly this shape. No run value, no allocation per query but the
+    witness: a [matcher] carries reusable scratch, so one per monitor
+    (they are single-threaded, like the monitor itself). *)
 
 module Masked : sig
   type matcher
@@ -86,56 +86,24 @@ module Masked : sig
   val make : ?distinct:bool -> compiled -> matcher
   (** [distinct] defaults to [true], as the predicate evaluators. *)
 
-  val holds :
-    matcher ->
-    n:int ->
-    live:int ->
-    masks:int array ->
-    src:int array ->
-    dst:int array ->
-    color:int array ->
-    bool
-  (** Is there a satisfying assignment over the live slots? [n] is the
-      row stride ({!Mo_order.Monitor.window}), [masks] the eight
-      sections in {!Mo_order.Run.Abstract.masks} order, [src]/[dst]/
-      [color] per-slot attributes with [-1] for unknown (an unknown
-      attribute satisfies no guard). *)
-
   val find :
     matcher ->
-    n:int ->
-    live:int ->
-    masks:int array ->
+    live:int array ->
+    rows:int array array ->
     src:int array ->
     dst:int array ->
     color:int array ->
     int array option
-  (** The first satisfying assignment (variable index → slot index) in
-      the fast plan's order, if any. *)
-
-  val holds_wide :
-    matcher ->
-    n:int ->
-    live:Mo_order.Bitset.t ->
-    rel:Mo_order.Bitset.t array ->
-    src:int array ->
-    dst:int array ->
-    color:int array ->
-    bool
-  (** {!holds} over the Bitset rows of a {e wide} monitor
-      ({!Mo_order.Monitor.wide_rel}): same plan, same candidate
-      filtering, set operations instead of word ops. Allocates scratch
-      per call. *)
-
-  val find_wide :
-    matcher ->
-    n:int ->
-    live:Mo_order.Bitset.t ->
-    rel:Mo_order.Bitset.t array ->
-    src:int array ->
-    dst:int array ->
-    color:int array ->
-    int array option
+  (** The first satisfying assignment (variable index → slot index) over
+      the slots in [live], in the fast plan's order with candidates
+      taken in ascending slot order, if any. [live] and [rows] are laid
+      out as {!Mo_order.Monitor.live} and {!Mo_order.Monitor.rows}: slot
+      sets of [Array.length live] words of
+      {!Mo_order.Monitor.word_bits} slots, relation section [k] of slot
+      [x] at [rows.(x).(k * Array.length live ..)], in the
+      {!Mo_order.Run.Abstract.masks} section order. [src]/[dst]/[color]
+      are per-slot attributes with [-1] for unknown (an unknown attribute
+      satisfies no guard). *)
 end
 
 (** {1 Reference interpreter}

@@ -17,7 +17,7 @@ let create ?window ?distinct ~nprocs c =
 
 let exact ?distinct c run =
   let nmsgs = Run.nmsgs run in
-  if nmsgs > Monitor.max_wide_window then
+  if nmsgs > Monitor.max_window then
     invalid_arg "Pmon.exact: run exceeds the monitor window";
   create ~window:(max nmsgs 1) ?distinct ~nprocs:(Run.nprocs run) c
 
@@ -32,16 +32,9 @@ let check t =
   | None -> (
       let mon = t.mon in
       match
-        if Monitor.is_wide mon then
-          Eval.Masked.find_wide t.matcher ~n:(Monitor.window mon)
-            ~live:(Monitor.wide_live mon) ~rel:(Monitor.wide_rel mon)
-            ~src:(Monitor.slot_src mon) ~dst:(Monitor.slot_dst mon)
-            ~color:(Monitor.slot_color mon)
-        else
-          Eval.Masked.find t.matcher ~n:(Monitor.window mon)
-            ~live:(Monitor.live mon) ~masks:(Monitor.masks mon)
-            ~src:(Monitor.slot_src mon) ~dst:(Monitor.slot_dst mon)
-            ~color:(Monitor.slot_color mon)
+        Eval.Masked.find t.matcher ~live:(Monitor.live mon)
+          ~rows:(Monitor.rows mon) ~src:(Monitor.slot_src mon)
+          ~dst:(Monitor.slot_dst mon) ~color:(Monitor.slot_color mon)
       with
       | None -> ()
       | Some a ->

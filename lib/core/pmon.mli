@@ -31,17 +31,17 @@ type verdict = {
 
 val create :
   ?window:int -> ?distinct:bool -> nprocs:int -> Eval.compiled -> t
-(** [window] (default 32) bounds resident state as in
-    {!Mo_order.Monitor.create}; [distinct] defaults to [true] as the
-    offline evaluators. *)
+(** [window] (default {!Mo_order.Monitor.default_window}) bounds
+    resident state as in {!Mo_order.Monitor.create}; [distinct] defaults
+    to [true] as the offline evaluators. *)
 
 val exact : ?distinct:bool -> Eval.compiled -> Mo_order.Run.t -> t
 (** A monitor sized for [run] so that no slot is ever retired: verdicts
     are exactly the offline ones on every linear extension of [run].
-    Runs beyond {!Mo_order.Monitor.max_window} messages get the wide
-    (Bitset) representation.
+    The window is one slot per message, so runs beyond 62 messages keep
+    rows of more than one word.
     @raise Invalid_argument when the run exceeds
-    {!Mo_order.Monitor.max_wide_window} messages. *)
+    {!Mo_order.Monitor.max_window} messages. *)
 
 val send :
   t -> msg:int -> src:int -> dst:int -> ?color:int -> unit -> verdict option

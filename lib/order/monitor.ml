@@ -1,26 +1,28 @@
 (* Streaming must-happened-before frontier over a bounded slot window.
 
-   Two representations of the same automaton. [Packed] (windows up to
-   62 slots) keeps the eight relation sections as rows packed into
-   ints, exactly the Run.Abstract.masks layout: section k, row x lives
-   at masks.(k * window + x); bit y of a forward row means x.p ▷ y.q,
-   transpose rows mirror column reads. [Wide] replays the identical
-   update rules over Bitset rows, one Bitset per row, so windows beyond
-   the word size (e.g. --window 128) work at a constant factor's cost.
-   Every update keeps forward and transpose sections in lock step.
+   Every slot set is [nw = ceil (window / word_bits)] ints: slot y is bit
+   [y mod word_bits] of word [y / word_bits], so a window of at most 62
+   slots is one word per set, exactly the Run.Abstract.masks rows. Slot
+   x's state is one block, rows.(x): the eight relation sections in
+   Run.Abstract order (section k at words [k * nw ..]), then sp_s and
+   sp_r. Bit y of a forward section of row x means x.p ▷ y.q; transpose
+   sections mirror column reads. Every update keeps forward and
+   transpose sections in lock step.
 
-   Per process p the monitor keeps past_s.(p) / past_r.(p): the slots
-   whose send (resp. delivery) is in the causal past of p's latest
-   event. Per slot j, sp_s.(j) / sp_r.(j) freeze those masks at j's
-   send, so j's delivery can reconstruct the send's past without
-   history. pend_to.(p) tracks slots pending delivery at p: whenever
+   Per process p the monitor keeps past_s / past_r (nw words at p * nw):
+   the slots whose send (resp. delivery) is in the causal past of p's
+   latest event. Per slot j, sp_s / sp_r freeze those sets at j's send,
+   so j's delivery can reconstruct the send's past without history.
+   pend_to (per process) tracks slots pending delivery at p: whenever
    p's past grows, the new events gain must-edges into those virtual
    deliveries. *)
 
-let max_window = 62
-let max_wide_window = 4096
+let max_window = 4096
+let default_window = 62
+let word_bits = 62
 
-(* section offsets, as Run.Abstract: ss sr rs rr then transposes *)
+(* section offsets, as Run.Abstract: ss sr rs rr then transposes, then
+   the frozen send pasts *)
 let ss = 0
 and sr = 1
 and rs = 2
@@ -29,484 +31,275 @@ and ss_t = 4
 and sr_t = 5
 and rs_t = 6
 and rr_t = 7
+and sp_s = 8
+and sp_r = 9
 
-module Packed = struct
-  type t = {
-    window : int;
-    nprocs : int;
-    masks : int array; (* 8 * window rows, Run.Abstract section order *)
-    slot_id : int array; (* message id per slot, -1 when free *)
-    slot_src : int array;
-    slot_dst : int array;
-    slot_color : int array; (* -1 = no color *)
-    delivered : int array; (* mask of delivered live slots *)
-    sp_s : int array; (* per slot: sends in the past of its send *)
-    sp_r : int array; (* per slot: deliveries in the past of its send *)
-    past_s : int array; (* per process *)
-    past_r : int array; (* per process *)
-    pend_to : int array; (* per process: pending slots addressed to it *)
-    slot_of : (int, int) Hashtbl.t; (* message id -> slot *)
-    retire_q : int Queue.t; (* delivered slots, delivery order *)
-    mutable live : int;
-    mutable events : int;
-    mutable retired : int;
+let sections = 10
+
+type t = {
+  window : int;
+  nprocs : int;
+  nw : int; (* words per slot set *)
+  rows : int array array; (* per slot: [sections * nw] words *)
+  slot_id : int array; (* message id per slot, -1 when free *)
+  slot_src : int array;
+  slot_dst : int array;
+  slot_color : int array; (* -1 = no color *)
+  live : int array; (* occupied slots *)
+  delivered : int array; (* delivered live slots *)
+  past_s : int array; (* per process, nw words each *)
+  past_r : int array;
+  pend_to : int array; (* per process: pending slots addressed to it *)
+  slot_of : (int, int) Hashtbl.t; (* message id -> slot *)
+  retire_q : int Queue.t; (* delivered slots, delivery order *)
+  mutable fresh : int; (* slots never yet allocated are fresh .. window-1 *)
+  mutable events : int;
+  mutable retired : int;
+}
+
+let create ?(window = default_window) ~nprocs () =
+  if window < 1 || window > max_window then
+    invalid_arg "Monitor.create: window out of range";
+  if nprocs <= 0 then invalid_arg "Monitor.create: nprocs must be positive";
+  let nw = (window + word_bits - 1) / word_bits in
+  {
+    window;
+    nprocs;
+    nw;
+    rows = Array.init window (fun _ -> Array.make (sections * nw) 0);
+    slot_id = Array.make window (-1);
+    slot_src = Array.make window (-1);
+    slot_dst = Array.make window (-1);
+    slot_color = Array.make window (-1);
+    live = Array.make nw 0;
+    delivered = Array.make nw 0;
+    past_s = Array.make (nprocs * nw) 0;
+    past_r = Array.make (nprocs * nw) 0;
+    pend_to = Array.make (nprocs * nw) 0;
+    slot_of = Hashtbl.create (2 * window);
+    retire_q = Queue.create ();
+    fresh = 0;
+    events = 0;
+    retired = 0;
   }
 
-  let create ~window ~nprocs () =
-    {
-      window;
-      nprocs;
-      masks = Array.make (8 * window) 0;
-      slot_id = Array.make window (-1);
-      slot_src = Array.make window (-1);
-      slot_dst = Array.make window (-1);
-      slot_color = Array.make window (-1);
-      delivered = Array.make 1 0;
-      sp_s = Array.make window 0;
-      sp_r = Array.make window 0;
-      past_s = Array.make nprocs 0;
-      past_r = Array.make nprocs 0;
-      pend_to = Array.make nprocs 0;
-      slot_of = Hashtbl.create (2 * window);
-      retire_q = Queue.create ();
-      live = 0;
-      events = 0;
-      retired = 0;
-    }
+let window t = t.window
+let nprocs t = t.nprocs
+let events t = t.events
+let retired t = t.retired
+let live t = t.live
+let rows t = t.rows
+let slot_src t = t.slot_src
+let slot_dst t = t.slot_dst
+let slot_color t = t.slot_color
 
-  let popcount n =
-    let c = ref 0 and v = ref n in
-    while !v <> 0 do
-      v := !v land (!v - 1);
-      incr c
-    done;
-    !c
+let popcount n =
+  let c = ref 0 and v = ref n in
+  while !v <> 0 do
+    v := !v land (!v - 1);
+    incr c
+  done;
+  !c
 
-  let pending t =
-    let p = ref 0 in
-    for q = 0 to t.nprocs - 1 do
-      p := !p + popcount t.pend_to.(q)
-    done;
-    !p
+let pending t =
+  let p = ref 0 in
+  for i = 0 to Array.length t.pend_to - 1 do
+    p := !p + popcount t.pend_to.(i)
+  done;
+  !p
 
-  let slot_msg t j =
-    if j < 0 || j >= t.window || t.slot_id.(j) < 0 then
-      invalid_arg "Monitor.slot_msg: free slot";
-    t.slot_id.(j)
+let check_slot t j name =
+  if j < 0 || j >= t.window || t.slot_id.(j) < 0 then
+    invalid_arg ("Monitor." ^ name ^ ": free slot")
 
-  let slot_delivered t j = t.delivered.(0) land (1 lsl j) <> 0
+let slot_msg t j =
+  check_slot t j "slot_msg";
+  t.slot_id.(j)
 
-  (* call f on each set bit of [bits]; O(window) regardless of density *)
-  let iter_bits t bits f =
-    if bits <> 0 then
-      for k = 0 to t.window - 1 do
-        if bits land (1 lsl k) <> 0 then f k
+let slot_delivered t j =
+  check_slot t j "slot_delivered";
+  t.delivered.(j / word_bits) land (1 lsl (j mod word_bits)) <> 0
+
+(* rows.(x).(i) <- rows.(x).(i) lor b for every slot x in [set], one word
+   of a slot set whose bit 0 is slot [base] *)
+let or_into_rows (rows : int array array) set base i b =
+  let s = ref set and x = ref base in
+  while !s <> 0 do
+    if !s land 1 <> 0 then begin
+      let r = rows.(!x) in
+      r.(i) <- r.(i) lor b
+    end;
+    s := !s lsr 1;
+    incr x
+  done
+
+(* OR the nw-word set at src.(off ..) into words [i ..] of the row of
+   every slot in [set] (one word, bit 0 = slot [base]) *)
+let or_set_into_rows (rows : int array array) set base i (src : int array)
+    off nw =
+  let s = ref set and x = ref base in
+  while !s <> 0 do
+    if !s land 1 <> 0 then begin
+      let r = rows.(!x) in
+      for w = 0 to nw - 1 do
+        r.(i + w) <- r.(i + w) lor src.(off + w)
       done
+    end;
+    s := !s lsr 1;
+    incr x
+  done
 
-  (* recycle slot k: erase it from every row, past and index *)
-  let retire t k =
-    let keep = lnot (1 lsl k) in
-    let m = t.masks in
-    for i = 0 to (8 * t.window) - 1 do
-      m.(i) <- m.(i) land keep
-    done;
-    for s = 0 to 7 do
-      m.((s * t.window) + k) <- 0
-    done;
-    for j = 0 to t.window - 1 do
-      t.sp_s.(j) <- t.sp_s.(j) land keep;
-      t.sp_r.(j) <- t.sp_r.(j) land keep
-    done;
-    for p = 0 to t.nprocs - 1 do
-      t.past_s.(p) <- t.past_s.(p) land keep;
-      t.past_r.(p) <- t.past_r.(p) land keep
-    done;
-    Hashtbl.remove t.slot_of t.slot_id.(k);
-    t.slot_id.(k) <- -1;
-    t.delivered.(0) <- t.delivered.(0) land keep;
-    t.live <- t.live land keep;
-    t.retired <- t.retired + 1
+(* recycle slot k: erase it from every row, past and index *)
+let retire t k =
+  let nw = t.nw and wk = k / word_bits in
+  let keep = lnot (1 lsl (k mod word_bits)) in
+  for x = 0 to t.window - 1 do
+    let r = t.rows.(x) in
+    for s = 0 to sections - 1 do
+      let i = (s * nw) + wk in
+      r.(i) <- r.(i) land keep
+    done
+  done;
+  Array.fill t.rows.(k) 0 (8 * nw) 0;
+  for p = 0 to t.nprocs - 1 do
+    let i = (p * nw) + wk in
+    t.past_s.(i) <- t.past_s.(i) land keep;
+    t.past_r.(i) <- t.past_r.(i) land keep
+  done;
+  Hashtbl.remove t.slot_of t.slot_id.(k);
+  t.slot_id.(k) <- -1;
+  t.delivered.(wk) <- t.delivered.(wk) land keep;
+  t.live.(wk) <- t.live.(wk) land keep;
+  t.retired <- t.retired + 1
 
-  let full_mask t = (1 lsl t.window) - 1
+let alloc t =
+  if t.fresh < t.window then begin
+    let k = t.fresh in
+    t.fresh <- k + 1;
+    k
+  end
+  else
+    match Queue.take_opt t.retire_q with
+    | Some k ->
+        retire t k;
+        k
+    | None ->
+        invalid_arg "Monitor.send: window exhausted (every slot pending)"
 
-  let alloc t =
-    if t.live <> full_mask t then (
-      let k = ref 0 in
-      while t.live land (1 lsl !k) <> 0 do
-        incr k
-      done;
-      !k)
-    else
-      match Queue.take_opt t.retire_q with
-      | Some k ->
-          retire t k;
-          k
-      | None ->
-          invalid_arg "Monitor.send: window exhausted (every slot pending)"
-
-  let send t ~msg ~src ~dst ~color =
-    if Hashtbl.mem t.slot_of msg then
-      invalid_arg "Monitor.send: duplicate send";
-    let j = alloc t in
-    let bj = 1 lsl j in
-    let w = t.window and m = t.masks in
-    Hashtbl.replace t.slot_of msg j;
-    t.slot_id.(j) <- msg;
-    t.slot_src.(j) <- src;
-    t.slot_dst.(j) <- dst;
-    t.slot_color.(j) <- color;
-    let ps = t.past_s.(src) and pr = t.past_r.(src) in
-    t.sp_s.(j) <- ps;
-    t.sp_r.(j) <- pr;
+let send t ~msg ~src ~dst ?(color = -1) () =
+  if src < 0 || src >= t.nprocs then invalid_arg "Monitor.send: bad src";
+  if dst < 0 || dst >= t.nprocs then invalid_arg "Monitor.send: bad dst";
+  if Hashtbl.mem t.slot_of msg then
+    invalid_arg "Monitor.send: duplicate send";
+  let j = alloc t in
+  let nw = t.nw and rows = t.rows in
+  let wj = j / word_bits and bj = 1 lsl (j mod word_bits) in
+  let rj = rows.(j) in
+  Hashtbl.replace t.slot_of msg j;
+  t.slot_id.(j) <- msg;
+  t.slot_src.(j) <- src;
+  t.slot_dst.(j) <- dst;
+  t.slot_color.(j) <- color;
+  for w = 0 to nw - 1 do
+    let base = w * word_bits in
+    let ps = t.past_s.((src * nw) + w) and pr = t.past_r.((src * nw) + w) in
+    rj.((sp_s * nw) + w) <- ps;
+    rj.((sp_r * nw) + w) <- pr;
     (* edges into the new send event: k.s ▷ j.s and k.r ▷ j.s *)
-    iter_bits t ps (fun k -> m.((ss * w) + k) <- m.((ss * w) + k) lor bj);
-    m.((ss_t * w) + j) <- ps;
-    iter_bits t pr (fun k -> m.((rs * w) + k) <- m.((rs * w) + k) lor bj);
-    m.((rs_t * w) + j) <- pr;
+    or_into_rows rows ps base ((ss * nw) + wj) bj;
+    rj.((ss_t * nw) + w) <- ps;
+    or_into_rows rows pr base ((rs * nw) + wj) bj;
+    rj.((rs_t * nw) + w) <- pr;
     (* must-edges into j's virtual delivery: j.r follows j.s (hence the
        send's whole past) and the current past of dst, in every
        completion *)
-    let vs = ps lor bj lor t.past_s.(dst) in
-    let vr = pr lor t.past_r.(dst) in
-    iter_bits t vs (fun k -> m.((sr * w) + k) <- m.((sr * w) + k) lor bj);
-    m.((sr_t * w) + j) <- vs;
-    iter_bits t vr (fun k -> m.((rr * w) + k) <- m.((rr * w) + k) lor bj);
-    m.((rr_t * w) + j) <- vr;
+    let vs =
+      ps lor t.past_s.((dst * nw) + w) lor if w = wj then bj else 0
+    in
+    let vr = pr lor t.past_r.((dst * nw) + w) in
+    or_into_rows rows vs base ((sr * nw) + wj) bj;
+    rj.((sr_t * nw) + w) <- vs;
+    or_into_rows rows vr base ((rr * nw) + wj) bj;
+    rj.((rr_t * nw) + w) <- vr;
     (* j.s is now in src's past, so it precedes every delivery still
        pending at src *)
-    let p = t.pend_to.(src) in
-    if p <> 0 then (
-      m.((sr * w) + j) <- m.((sr * w) + j) lor p;
-      iter_bits t p (fun y ->
-          m.((sr_t * w) + y) <- m.((sr_t * w) + y) lor bj));
-    t.past_s.(src) <- ps lor bj;
-    t.pend_to.(dst) <- t.pend_to.(dst) lor bj;
-    t.live <- t.live lor bj;
-    t.events <- t.events + 1
-
-  let deliver t ~msg =
-    match Hashtbl.find_opt t.slot_of msg with
-    | None -> invalid_arg "Monitor.deliver: message not sent"
-    | Some j ->
-        if slot_delivered t j then
-          invalid_arg "Monitor.deliver: duplicate delivery";
-        let bj = 1 lsl j in
-        let w = t.window and m = t.masks in
-        let q = t.slot_dst.(j) in
-        (* the real past of j.r: q's past joined with the send's past.
-           The virtual rows written at send time are always a subset, so
-           only the delta needs forward updates. *)
-        let es = t.past_s.(q) lor t.sp_s.(j) lor bj in
-        let er = t.past_r.(q) lor t.sp_r.(j) in
-        iter_bits t
-          (es land lnot m.((sr_t * w) + j))
-          (fun k -> m.((sr * w) + k) <- m.((sr * w) + k) lor bj);
-        m.((sr_t * w) + j) <- es;
-        iter_bits t
-          (er land lnot m.((rr_t * w) + j))
-          (fun k -> m.((rr * w) + k) <- m.((rr * w) + k) lor bj);
-        m.((rr_t * w) + j) <- er;
-        (* q's past grows: the newly absorbed events (and j.r itself)
-           precede every delivery still pending at q *)
-        let ds = es land lnot t.past_s.(q) in
-        let dr = (er lor bj) land lnot t.past_r.(q) in
-        let p = t.pend_to.(q) land lnot bj in
-        if p <> 0 then (
-          iter_bits t ds (fun u ->
-              m.((sr * w) + u) <- m.((sr * w) + u) lor p);
-          iter_bits t dr (fun u ->
-              m.((rr * w) + u) <- m.((rr * w) + u) lor p);
-          iter_bits t p (fun y ->
-              m.((sr_t * w) + y) <- m.((sr_t * w) + y) lor ds;
-              m.((rr_t * w) + y) <- m.((rr_t * w) + y) lor dr));
-        t.past_s.(q) <- es;
-        t.past_r.(q) <- er lor bj;
-        t.pend_to.(q) <- t.pend_to.(q) land lnot bj;
-        t.delivered.(0) <- t.delivered.(0) lor bj;
-        Queue.add j t.retire_q;
-        t.events <- t.events + 1
-
-  let frontier_bytes t =
-    let word = Sys.word_size / 8 in
-    let ints =
-      (8 * t.window) (* masks *)
-      + (6 * t.window) (* slot_id/src/dst/color, sp_s, sp_r *)
-      + (3 * t.nprocs) (* past_s, past_r, pend_to *)
-      + 1 (* delivered *)
-      + 4 (* live, events, retired, and the queue head *)
-    in
-    (* hash table and retire queue are bounded by the window *)
-    word * (ints + (4 * t.window))
-end
-
-module Wide = struct
-  (* the Packed automaton verbatim, with every slot mask a Bitset of
-     capacity [window]; the update rules translate operation for
-     operation (lor -> union/add, land lnot -> diff/remove), so the
-     differential test against the packed path on a truncated window is
-     exact equality of relations *)
-  type t = {
-    window : int;
-    nprocs : int;
-    rel : Bitset.t array; (* 8 * window rows, Run.Abstract section order *)
-    slot_id : int array;
-    slot_src : int array;
-    slot_dst : int array;
-    slot_color : int array;
-    delivered : Bitset.t;
-    sp_s : Bitset.t array;
-    sp_r : Bitset.t array;
-    past_s : Bitset.t array;
-    past_r : Bitset.t array;
-    pend_to : Bitset.t array;
-    slot_of : (int, int) Hashtbl.t;
-    retire_q : int Queue.t;
-    live : Bitset.t;
-    mutable events : int;
-    mutable retired : int;
-    empty : Bitset.t; (* constant, for clearing rows *)
-    tmp_a : Bitset.t; (* scratch, valid within one operation *)
-    tmp_b : Bitset.t;
-  }
-
-  let create ~window ~nprocs () =
-    let bs () = Bitset.create window in
-    {
-      window;
-      nprocs;
-      rel = Array.init (8 * window) (fun _ -> bs ());
-      slot_id = Array.make window (-1);
-      slot_src = Array.make window (-1);
-      slot_dst = Array.make window (-1);
-      slot_color = Array.make window (-1);
-      delivered = bs ();
-      sp_s = Array.init window (fun _ -> bs ());
-      sp_r = Array.init window (fun _ -> bs ());
-      past_s = Array.init nprocs (fun _ -> bs ());
-      past_r = Array.init nprocs (fun _ -> bs ());
-      pend_to = Array.init nprocs (fun _ -> bs ());
-      slot_of = Hashtbl.create (2 * window);
-      retire_q = Queue.create ();
-      live = bs ();
-      events = 0;
-      retired = 0;
-      empty = bs ();
-      tmp_a = bs ();
-      tmp_b = bs ();
-    }
-
-  let pending t =
-    let p = ref 0 in
-    for q = 0 to t.nprocs - 1 do
-      p := !p + Bitset.cardinal t.pend_to.(q)
-    done;
-    !p
-
-  let slot_msg t j =
-    if j < 0 || j >= t.window || t.slot_id.(j) < 0 then
-      invalid_arg "Monitor.slot_msg: free slot";
-    t.slot_id.(j)
-
-  let slot_delivered t j = Bitset.mem t.delivered j
-
-  let retire t k =
-    for i = 0 to (8 * t.window) - 1 do
-      Bitset.remove t.rel.(i) k
-    done;
-    for s = 0 to 7 do
-      Bitset.copy_into ~dst:t.rel.((s * t.window) + k) t.empty
-    done;
-    for j = 0 to t.window - 1 do
-      Bitset.remove t.sp_s.(j) k;
-      Bitset.remove t.sp_r.(j) k
-    done;
-    for p = 0 to t.nprocs - 1 do
-      Bitset.remove t.past_s.(p) k;
-      Bitset.remove t.past_r.(p) k
-    done;
-    Hashtbl.remove t.slot_of t.slot_id.(k);
-    t.slot_id.(k) <- -1;
-    Bitset.remove t.delivered k;
-    Bitset.remove t.live k;
-    t.retired <- t.retired + 1
-
-  let alloc t =
-    if Bitset.cardinal t.live < t.window then (
-      let k = ref 0 in
-      while Bitset.mem t.live !k do
-        incr k
-      done;
-      !k)
-    else
-      match Queue.take_opt t.retire_q with
-      | Some k ->
-          retire t k;
-          k
-      | None ->
-          invalid_arg "Monitor.send: window exhausted (every slot pending)"
-
-  let send t ~msg ~src ~dst ~color =
-    if Hashtbl.mem t.slot_of msg then
-      invalid_arg "Monitor.send: duplicate send";
-    let j = alloc t in
-    let w = t.window and m = t.rel in
-    Hashtbl.replace t.slot_of msg j;
-    t.slot_id.(j) <- msg;
-    t.slot_src.(j) <- src;
-    t.slot_dst.(j) <- dst;
-    t.slot_color.(j) <- color;
-    let ps = t.past_s.(src) and pr = t.past_r.(src) in
-    Bitset.copy_into ~dst:t.sp_s.(j) ps;
-    Bitset.copy_into ~dst:t.sp_r.(j) pr;
-    Bitset.iter (fun k -> Bitset.add m.((ss * w) + k) j) ps;
-    Bitset.copy_into ~dst:m.((ss_t * w) + j) ps;
-    Bitset.iter (fun k -> Bitset.add m.((rs * w) + k) j) pr;
-    Bitset.copy_into ~dst:m.((rs_t * w) + j) pr;
-    let vs = t.tmp_a in
-    Bitset.copy_into ~dst:vs ps;
-    Bitset.add vs j;
-    Bitset.union_into ~dst:vs t.past_s.(dst);
-    let vr = t.tmp_b in
-    Bitset.copy_into ~dst:vr pr;
-    Bitset.union_into ~dst:vr t.past_r.(dst);
-    Bitset.iter (fun k -> Bitset.add m.((sr * w) + k) j) vs;
-    Bitset.copy_into ~dst:m.((sr_t * w) + j) vs;
-    Bitset.iter (fun k -> Bitset.add m.((rr * w) + k) j) vr;
-    Bitset.copy_into ~dst:m.((rr_t * w) + j) vr;
-    let p = t.pend_to.(src) in
-    if not (Bitset.is_empty p) then (
-      Bitset.union_into ~dst:m.((sr * w) + j) p;
-      Bitset.iter (fun y -> Bitset.add m.((sr_t * w) + y) j) p);
-    Bitset.add t.past_s.(src) j;
-    Bitset.add t.pend_to.(dst) j;
-    Bitset.add t.live j;
-    t.events <- t.events + 1
-
-  let deliver t ~msg =
-    match Hashtbl.find_opt t.slot_of msg with
-    | None -> invalid_arg "Monitor.deliver: message not sent"
-    | Some j ->
-        if slot_delivered t j then
-          invalid_arg "Monitor.deliver: duplicate delivery";
-        let w = t.window and m = t.rel in
-        let q = t.slot_dst.(j) in
-        let es = t.tmp_a in
-        Bitset.copy_into ~dst:es t.past_s.(q);
-        Bitset.union_into ~dst:es t.sp_s.(j);
-        Bitset.add es j;
-        let er = t.tmp_b in
-        Bitset.copy_into ~dst:er t.past_r.(q);
-        Bitset.union_into ~dst:er t.sp_r.(j);
-        (* delta-only forward updates, as the packed path *)
-        let delta = Bitset.copy es in
-        Bitset.diff_into ~dst:delta m.((sr_t * w) + j);
-        Bitset.iter (fun k -> Bitset.add m.((sr * w) + k) j) delta;
-        Bitset.copy_into ~dst:m.((sr_t * w) + j) es;
-        let delta = Bitset.copy er in
-        Bitset.diff_into ~dst:delta m.((rr_t * w) + j);
-        Bitset.iter (fun k -> Bitset.add m.((rr * w) + k) j) delta;
-        Bitset.copy_into ~dst:m.((rr_t * w) + j) er;
-        let ds = Bitset.copy es in
-        Bitset.diff_into ~dst:ds t.past_s.(q);
-        let dr = Bitset.copy er in
-        Bitset.add dr j;
-        Bitset.diff_into ~dst:dr t.past_r.(q);
-        let p = Bitset.copy t.pend_to.(q) in
-        Bitset.remove p j;
-        if not (Bitset.is_empty p) then (
-          Bitset.iter
-            (fun u -> Bitset.union_into ~dst:m.((sr * w) + u) p)
-            ds;
-          Bitset.iter
-            (fun u -> Bitset.union_into ~dst:m.((rr * w) + u) p)
-            dr;
-          Bitset.iter
-            (fun y ->
-              Bitset.union_into ~dst:m.((sr_t * w) + y) ds;
-              Bitset.union_into ~dst:m.((rr_t * w) + y) dr)
-            p);
-        Bitset.copy_into ~dst:t.past_s.(q) es;
-        Bitset.copy_into ~dst:t.past_r.(q) er;
-        Bitset.add t.past_r.(q) j;
-        Bitset.remove t.pend_to.(q) j;
-        Bitset.add t.delivered j;
-        Queue.add j t.retire_q;
-        t.events <- t.events + 1
-
-  let frontier_bytes t =
-    let word = Sys.word_size / 8 in
-    (* a Bitset of capacity w is ~ceil(w/8) bytes plus a boxed header *)
-    let bs = ((t.window + 7) / 8) + (2 * word) in
-    let sets =
-      (8 * t.window) (* rel *) + (2 * t.window) (* sp_s, sp_r *)
-      + (3 * t.nprocs) (* past_s, past_r, pend_to *)
-      + 4 (* delivered, live, scratch *)
-    in
-    (sets * bs)
-    + (word * (4 * t.window)) (* slot arrays *)
-    + (word * (4 * t.window)) (* hash table and retire queue bound *)
-end
-
-type t = P of Packed.t | W of Wide.t
-
-let create ?(window = 32) ?wide ~nprocs () =
-  if window < 1 || window > max_wide_window then
-    invalid_arg "Monitor.create: window out of range";
-  if nprocs <= 0 then invalid_arg "Monitor.create: nprocs must be positive";
-  let wide =
-    match wide with Some w -> w || window > max_window | None -> window > max_window
-  in
-  if wide then W (Wide.create ~window ~nprocs ())
-  else P (Packed.create ~window ~nprocs ())
-
-let window = function P p -> p.Packed.window | W w -> w.Wide.window
-let nprocs = function P p -> p.Packed.nprocs | W w -> w.Wide.nprocs
-let events = function P p -> p.Packed.events | W w -> w.Wide.events
-let retired = function P p -> p.Packed.retired | W w -> w.Wide.retired
-let pending = function P p -> Packed.pending p | W w -> Wide.pending w
-let is_wide = function P _ -> false | W _ -> true
-
-let slot_src = function P p -> p.Packed.slot_src | W w -> w.Wide.slot_src
-let slot_dst = function P p -> p.Packed.slot_dst | W w -> w.Wide.slot_dst
-
-let slot_color = function
-  | P p -> p.Packed.slot_color
-  | W w -> w.Wide.slot_color
-
-let slot_msg t j =
-  match t with P p -> Packed.slot_msg p j | W w -> Wide.slot_msg w j
-
-let slot_delivered t j =
-  match t with
-  | P p -> Packed.slot_delivered p j
-  | W w -> Wide.slot_delivered w j
-
-let live = function
-  | P p -> p.Packed.live
-  | W _ -> invalid_arg "Monitor.live: wide window (use wide_live)"
-
-let masks = function
-  | P p -> p.Packed.masks
-  | W _ -> invalid_arg "Monitor.masks: wide window (use wide_rel)"
-
-let wide_rel = function
-  | W w -> w.Wide.rel
-  | P _ -> invalid_arg "Monitor.wide_rel: packed window (use masks)"
-
-let wide_live = function
-  | W w -> w.Wide.live
-  | P _ -> invalid_arg "Monitor.wide_live: packed window (use live)"
-
-let send t ~msg ~src ~dst ?(color = -1) () =
-  if src < 0 || src >= nprocs t then invalid_arg "Monitor.send: bad src";
-  if dst < 0 || dst >= nprocs t then invalid_arg "Monitor.send: bad dst";
-  match t with
-  | P p -> Packed.send p ~msg ~src ~dst ~color
-  | W w -> Wide.send w ~msg ~src ~dst ~color
+    let p = t.pend_to.((src * nw) + w) in
+    if p <> 0 then begin
+      rj.((sr * nw) + w) <- rj.((sr * nw) + w) lor p;
+      or_into_rows rows p base ((sr_t * nw) + wj) bj
+    end
+  done;
+  let i = (src * nw) + wj in
+  t.past_s.(i) <- t.past_s.(i) lor bj;
+  let i = (dst * nw) + wj in
+  t.pend_to.(i) <- t.pend_to.(i) lor bj;
+  t.live.(wj) <- t.live.(wj) lor bj;
+  t.events <- t.events + 1
 
 let deliver t ~msg =
-  match t with P p -> Packed.deliver p ~msg | W w -> Wide.deliver w ~msg
+  match Hashtbl.find_opt t.slot_of msg with
+  | None -> invalid_arg "Monitor.deliver: message not sent"
+  | Some j ->
+      if slot_delivered t j then
+        invalid_arg "Monitor.deliver: duplicate delivery";
+      let nw = t.nw and rows = t.rows in
+      let wj = j / word_bits and bj = 1 lsl (j mod word_bits) in
+      let rj = rows.(j) in
+      let q = t.slot_dst.(j) in
+      let qo = q * nw in
+      (* the real past of j.r: q's past joined with the send's past. The
+         virtual rows written at send time are always a subset, so only
+         the delta needs forward updates. *)
+      for w = 0 to nw - 1 do
+        let base = w * word_bits and jb = if w = wj then bj else 0 in
+        let es = t.past_s.(qo + w) lor rj.((sp_s * nw) + w) lor jb in
+        let er = t.past_r.(qo + w) lor rj.((sp_r * nw) + w) in
+        or_into_rows rows
+          (es land lnot rj.((sr_t * nw) + w))
+          base ((sr * nw) + wj) bj;
+        rj.((sr_t * nw) + w) <- es;
+        or_into_rows rows
+          (er land lnot rj.((rr_t * nw) + w))
+          base ((rr * nw) + wj) bj;
+        rj.((rr_t * nw) + w) <- er
+      done;
+      (* j is no longer pending at q *)
+      t.pend_to.(qo + wj) <- t.pend_to.(qo + wj) land lnot bj;
+      let pending_at_q = ref false in
+      for w = 0 to nw - 1 do
+        if t.pend_to.(qo + w) <> 0 then pending_at_q := true
+      done;
+      (* q's past grows by ds / dr, the newly absorbed events (and j.r
+         itself): they precede every delivery still pending at q *)
+      for w = 0 to nw - 1 do
+        let base = w * word_bits and jb = if w = wj then bj else 0 in
+        let ds = (rj.((sp_s * nw) + w) lor jb) land lnot t.past_s.(qo + w) in
+        let dr = (rj.((sp_r * nw) + w) lor jb) land lnot t.past_r.(qo + w) in
+        if !pending_at_q then begin
+          or_set_into_rows rows ds base (sr * nw) t.pend_to qo nw;
+          or_set_into_rows rows dr base (rr * nw) t.pend_to qo nw;
+          for pw = 0 to nw - 1 do
+            let p = t.pend_to.(qo + pw) and pbase = pw * word_bits in
+            if ds <> 0 then or_into_rows rows p pbase ((sr_t * nw) + w) ds;
+            if dr <> 0 then or_into_rows rows p pbase ((rr_t * nw) + w) dr
+          done
+        end;
+        t.past_s.(qo + w) <- t.past_s.(qo + w) lor ds;
+        t.past_r.(qo + w) <- t.past_r.(qo + w) lor dr
+      done;
+      t.delivered.(wj) <- t.delivered.(wj) lor bj;
+      Queue.add j t.retire_q;
+      t.events <- t.events + 1
 
-let frontier_bytes = function
-  | P p -> Packed.frontier_bytes p
-  | W w -> Wide.frontier_bytes w
+let frontier_bytes t =
+  let word = Sys.word_size / 8 and nw = t.nw in
+  let ints =
+    (8 * t.window * nw) (* relation sections *)
+    + (4 * t.window) (* slot_id/src/dst/color *)
+    + (2 * t.window * nw) (* sp_s, sp_r *)
+    + (3 * t.nprocs * nw) (* past_s, past_r, pend_to *)
+    + (2 * nw) (* live, delivered *)
+    + 3 (* events, retired, and the queue head *)
+  in
+  (* hash table and retire queue are bounded by the window *)
+  word * (ints + (4 * t.window))

@@ -5,11 +5,11 @@
     monitor: it consumes send/delivery events one at a time and maintains
     the {e must-happened-before} relation of the stream — the set of
     endpoint pairs [x.p ▷ y.q] that hold in {e every} completion of the
-    prefix seen so far — as packed bit-matrix rows in exactly the layout
-    of {!Run.Abstract.masks}. A compiled forbidden predicate evaluated
-    over these rows (see [Mo_core.Eval.Masked] and [Mo_core.Pmon]) then
-    flags a violation the moment a match becomes unavoidable, not when
-    it is finally observed.
+    prefix seen so far — as bit-matrix rows of int words, the layout of
+    {!Run.Abstract.masks} widened to as many words as the window needs.
+    A compiled forbidden predicate evaluated over these rows (see
+    [Mo_core.Eval.Masked] and [Mo_core.Pmon]) then flags a violation the
+    moment a match becomes unavoidable, not when it is finally observed.
 
     Must-edges beyond the observed order come from pending deliveries:
     once [y] is sent, its delivery [y.r] is a {e virtual} event that every
@@ -22,11 +22,11 @@
     argument.
 
     State is a fixed {e window} of message slots: per-slot relation
-    rows, per-slot causal stamps, and per-process past masks — no
-    poset, no event history. Windows up to {!max_window} (62) use
-    packed int rows with no per-event allocation; wider windows (up to
-    {!max_wide_window}) transparently fall back to {!Bitset} rows — the
-    same automaton, update for update, at a constant factor's cost.
+    rows, per-slot causal stamps, and per-process past sets — no poset,
+    no event history. Every slot set is [ceil (window / word_bits)] ints,
+    so a window of at most 62 slots keeps one word per row, exactly the
+    {!Run.Abstract.masks} layout, and wider windows (up to {!max_window})
+    run the same automaton over more words. No event allocates.
     Delivered messages are retired oldest-first when the window fills, so
     resident memory is a constant of [(window, nprocs)], independent of
     stream length. Retirement bounds what the monitor can match:
@@ -39,20 +39,20 @@
 type t
 
 val max_window : int
-(** 62: one slot per bit of an OCaml int, as {!Run.Abstract.masks} —
-    the widest {e packed} window. Larger windows are served by the
-    Bitset representation. *)
+(** 4096: the widest window. *)
 
-val max_wide_window : int
-(** 4096: the widest window of the Bitset fallback. *)
+val default_window : int
+(** 62: the window of {!create}, [mopc monitor] and mopcd's [monitor] op
+    when none is given — the widest one-word window. *)
 
-val create : ?window:int -> ?wide:bool -> nprocs:int -> unit -> t
-(** [window] defaults to 32. Windows above {!max_window} get the Bitset
-    representation ({!is_wide}); [wide:true] forces it at any window —
-    how the differential tests drive both representations over one
-    stream ([wide:false] cannot override the width-mandated fallback).
-    @raise Invalid_argument if [window] is outside
-    [1 .. max_wide_window] or [nprocs <= 0]. *)
+val word_bits : int
+(** 62: slots per word of a slot set. Slot [y] is bit
+    [y mod word_bits] of word [y / word_bits]. *)
+
+val create : ?window:int -> nprocs:int -> unit -> t
+(** [window] defaults to {!default_window}.
+    @raise Invalid_argument if [window] is outside [1 .. max_window] or
+    [nprocs <= 0]. *)
 
 val window : t -> int
 
@@ -83,32 +83,17 @@ val deliver : t -> msg:int -> unit
     Read-only access for predicate evaluation; the arrays are owned by
     the monitor and mutated by {!send}/{!deliver}. Slots are assigned in
     arrival order and recycled, so a slot index is only meaningful
-    between events. A monitor exposes exactly one representation:
-    {!masks}/{!live} when packed, {!wide_rel}/{!wide_live} when wide —
-    dispatch on {!is_wide}. *)
+    between events. *)
 
-val is_wide : t -> bool
-(** [true] when the window exceeds {!max_window} and the state lives in
-    Bitset rows. *)
+val live : t -> int array
+(** Occupied slots, as a slot set of [ceil (window / word_bits)] words. *)
 
-val live : t -> int
-(** Bit mask of occupied slots.
-    @raise Invalid_argument on a wide monitor. *)
-
-val masks : t -> int array
-(** The eight must-relation sections over slots, row [x] of relation [k]
-    at index [k * window + x], in the {!Run.Abstract.masks} order
-    [ss sr rs rr ss_t sr_t rs_t rr_t].
-    @raise Invalid_argument on a wide monitor. *)
-
-val wide_live : t -> Bitset.t
-(** Occupied slots of a wide monitor.
-    @raise Invalid_argument on a packed monitor. *)
-
-val wide_rel : t -> Bitset.t array
-(** The eight must-relation sections of a wide monitor as Bitset rows,
-    indexed exactly as {!masks}.
-    @raise Invalid_argument on a packed monitor. *)
+val rows : t -> int array array
+(** Per-slot state: [(rows t).(x)] holds slot [x]'s eight must-relation
+    sections in the {!Run.Abstract.masks} order
+    [ss sr rs rr ss_t sr_t rs_t rr_t], section [k] as the slot set at
+    words [k * nw .. k * nw + nw - 1] where [nw = Array.length (live t)],
+    followed by two private stamp sets. *)
 
 val slot_src : t -> int array
 (** Per-slot sending process ([-1] on free slots). *)
@@ -119,9 +104,13 @@ val slot_color : t -> int array
 (** Per-slot color, [-1] when the send carried none. *)
 
 val slot_msg : t -> int -> int
-(** The message id held by an occupied slot. *)
+(** The message id held by an occupied slot.
+    @raise Invalid_argument on a free or out-of-range slot. *)
 
 val slot_delivered : t -> int -> bool
+(** Whether an occupied slot's message has been delivered.
+    @raise Invalid_argument on a free or out-of-range slot, as
+    {!slot_msg}. *)
 
 val frontier_bytes : t -> int
 (** Resident bytes of the frontier state — the windows, stamps, and

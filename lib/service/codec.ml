@@ -266,7 +266,7 @@ let monitor_payload ?window pred ~trace =
   | Ok p -> (
       match
         let window =
-          Option.value ~default:Mo_order.Monitor.max_window window
+          Option.value ~default:Mo_order.Monitor.default_window window
         in
         let t =
           Mo_core.Pmon.create ~window

@@ -23,7 +23,7 @@ type request =
           [Mo_workload.Trace_io] text format, prefixes allowed) through
           a compiled monitor for [pred]. Never cached — the payload
           depends on the trace, not just the predicate. [window]
-          defaults to {!Mo_order.Monitor.max_window}. *)
+          defaults to {!Mo_order.Monitor.default_window}. *)
   | Lattice of Mo_core.Forbidden.t * int option
       (** [(pred, kmax)]: place the spec's run set against every point
           of the communication-model lattice over the 125,768-run

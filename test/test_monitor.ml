@@ -118,22 +118,61 @@ let test_earliest_oracle () =
         (Enumerate.all_runs ~nprocs ~nmsgs ()))
     small_sizes
 
+let earliest_agrees r events =
+  List.for_all
+    (fun plan ->
+      let expected = oracle_first plan r events in
+      let got =
+        match monitor_verdict plan r events with
+        | Some (v : Pmon.verdict) -> Some (v.at + 1)
+        | None -> None
+      in
+      expected = got)
+    plans
+
 let prop_earliest_random =
   QCheck.Test.make ~name:"oracle agreement on random runs" ~count:150
     QCheck.(int_bound 100_000)
     (fun seed ->
       let r = Random_run.run ~nprocs:3 ~nmsgs:8 ~seed () in
-      let events = Run.linearize_random r ~seed in
-      List.for_all
-        (fun plan ->
-          let expected = oracle_first plan r events in
-          let got =
-            match monitor_verdict plan r events with
-            | Some (v : Pmon.verdict) -> Some (v.at + 1)
-            | None -> None
-          in
-          expected = got)
-        plans)
+      earliest_agrees r (Run.linearize_random r ~seed))
+
+(* 63-70 messages, so the exact monitor's slot sets are two words: 62
+   serialized messages, clean for all three predicates, then a random
+   run of 1-8 more, streamed in schedule order. The tail takes slots 62
+   and up, the second word of every row, and every match lies in it. *)
+let prop_earliest_two_words =
+  QCheck.Test.make ~name:"oracle agreement across the word boundary"
+    ~count:10
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let head = 62 and tail = 1 + (seed mod 8) in
+      let t = Random_run.run ~nprocs:3 ~nmsgs:tail ~seed () in
+      let endpoints m = (Run.msg_src t m, Run.msg_dst t m) in
+      let msgs =
+        Array.init (head + tail) (fun m ->
+            if m < head then (m mod 3, (m + 1) mod 3)
+            else endpoints (m - head))
+      in
+      let events =
+        List.concat_map
+          (fun m -> [ Event.send m; Event.deliver m ])
+          (List.init head Fun.id)
+        @ List.map
+            (fun (e : Event.t) -> { e with Event.msg = e.msg + head })
+            (Run.linearize_random t ~seed)
+      in
+      let sched =
+        List.map
+          (fun (e : Event.t) ->
+            match e.point with
+            | Event.S -> Run.Do_send e.msg
+            | Event.R -> Run.Do_deliver e.msg)
+          events
+      in
+      match Run.of_schedule ~nprocs:3 ~msgs sched with
+      | Ok r -> earliest_agrees r events
+      | Error e -> QCheck.Test.fail_report e)
 
 (* the full standard-plus universe, counts pinned; nightly adds the
    deep tier with a deterministic sample of monitored runs *)
@@ -265,88 +304,82 @@ let test_frontier_bounded () =
   check_int "frontier bytes independent of stream length" short long;
   check_bool "frontier is small" true (short < 10_000)
 
-(* ---- wide (Bitset) representation -------------------------------- *)
+(* ---- multi-word rows against the Bitset oracle ------------------ *)
 
-(* packed and forced-wide monitors over one truncated-window stream:
-   after every event the two representations must hold the identical
-   relation (bit for bit, all eight sections), identical slot state,
-   and give the matcher the identical answer — the Bitset fallback is
-   the packed automaton, just wider words *)
+(* the monitor and the Bitset automaton it replaced (Monitor_ref) over
+   one truncated-window stream: after every event the two must hold the
+   identical relation (bit for bit, all eight sections) and identical
+   slot state. Windows 62/63 and 124/125 sit on either side of a word
+   boundary. *)
 let test_wide_differential () =
-  let w = 16 in
-  let profile =
-    {
-      Stream.default_profile with
-      Stream.nmsgs = 200;
-      Stream.disorder = 0.1;
-    }
-  in
-  let nprocs = profile.Stream.nprocs in
-  let matchers =
-    List.map (fun plan -> Eval.Masked.make plan) plans
-  in
-  let agree pm wm =
-    let pmask = Monitor.masks pm and rel = Monitor.wide_rel wm in
-    let plive = Monitor.live pm and wlive = Monitor.wide_live wm in
+  let agree w mon (r : Monitor_ref.t) =
+    let rows = Monitor.rows mon and live = Monitor.live mon in
+    let nw = Array.length live in
+    let bits = Monitor.word_bits in
     for j = 0 to w - 1 do
-      let pl = plive land (1 lsl j) <> 0 in
-      check_bool "live slots agree" pl (Bitset.mem wlive j);
-      if pl then begin
-        check_int "slot msg" (Monitor.slot_msg pm j) (Monitor.slot_msg wm j);
-        check_bool "slot delivered" (Monitor.slot_delivered pm j)
-          (Monitor.slot_delivered wm j)
+      let l = live.(j / bits) land (1 lsl (j mod bits)) <> 0 in
+      check_bool "live slots agree" (Bitset.mem r.live j) l;
+      if l then begin
+        check_int "slot msg" (Monitor_ref.slot_msg r j)
+          (Monitor.slot_msg mon j);
+        check_bool "slot delivered" (Monitor_ref.slot_delivered r j)
+          (Monitor.slot_delivered mon j)
       end
     done;
-    for i = 0 to (8 * w) - 1 do
-      for y = 0 to w - 1 do
-        if pmask.(i) land (1 lsl y) <> 0 <> Bitset.mem rel.(i) y then
-          Alcotest.failf "relation row %d bit %d differs" i y
+    (* each Bitset row packed into words, compared word by word *)
+    let words = Array.make nw 0 in
+    for k = 0 to 7 do
+      for x = 0 to w - 1 do
+        Array.fill words 0 nw 0;
+        Bitset.iter
+          (fun y ->
+            words.(y / bits) <- words.(y / bits) lor (1 lsl (y mod bits)))
+          r.rel.((k * w) + x);
+        for i = 0 to nw - 1 do
+          if rows.(x).((k * nw) + i) <> words.(i) then
+            Alcotest.failf "window %d: section %d row %d word %d differs" w k
+              x i
+        done
       done
-    done;
-    List.iter
-      (fun matcher ->
-        let a =
-          Eval.Masked.find matcher ~n:w ~live:plive ~masks:pmask
-            ~src:(Monitor.slot_src pm) ~dst:(Monitor.slot_dst pm)
-            ~color:(Monitor.slot_color pm)
-        and b =
-          Eval.Masked.find_wide matcher ~n:w ~live:wlive ~rel
-            ~src:(Monitor.slot_src wm) ~dst:(Monitor.slot_dst wm)
-            ~color:(Monitor.slot_color wm)
-        in
-        check_bool "matcher verdicts agree" true (a = b))
-      matchers
+    done
   in
   List.iter
-    (fun seed ->
-      let pm = Monitor.create ~window:w ~nprocs () in
-      let wm = Monitor.create ~window:w ~wide:true ~nprocs () in
-      check_bool "small window defaults packed" false (Monitor.is_wide pm);
-      check_bool "wide:true forces the Bitset path" true (Monitor.is_wide wm);
+    (fun w ->
+      let profile =
+        {
+          Stream.default_profile with
+          Stream.nmsgs = 4 * w;
+          Stream.disorder = 0.1;
+        }
+      in
+      let nprocs = profile.Stream.nprocs in
       List.iter
-        (fun ev ->
-          (match ev with
-          | Stream.Send { msg; src; dst } ->
-              Monitor.send pm ~msg ~src ~dst ();
-              Monitor.send wm ~msg ~src ~dst ()
-          | Stream.Deliver { msg } ->
-              Monitor.deliver pm ~msg;
-              Monitor.deliver wm ~msg);
-          check_int "events agree" (Monitor.events pm) (Monitor.events wm);
-          check_int "retired agree" (Monitor.retired pm)
-            (Monitor.retired wm);
-          check_int "pending agree" (Monitor.pending pm)
-            (Monitor.pending wm);
-          agree pm wm)
-        (Stream.key_events profile ~seed ~key:0))
-    [ 1; 2; 3 ]
+        (fun seed ->
+          let mon = Monitor.create ~window:w ~nprocs () in
+          let r = Monitor_ref.create ~window:w ~nprocs () in
+          List.iter
+            (fun ev ->
+              (match ev with
+              | Stream.Send { msg; src; dst } ->
+                  Monitor.send mon ~msg ~src ~dst ();
+                  Monitor_ref.send r ~msg ~src ~dst ~color:(-1)
+              | Stream.Deliver { msg } ->
+                  Monitor.deliver mon ~msg;
+                  Monitor_ref.deliver r ~msg);
+              check_int "events agree" r.events (Monitor.events mon);
+              check_int "retired agree" r.retired (Monitor.retired mon);
+              check_int "pending agree" (Monitor_ref.pending r)
+                (Monitor.pending mon);
+              agree w mon r)
+            (Stream.key_events profile ~seed ~key:0);
+          check_bool "slots were recycled" true (Monitor.retired mon > 0))
+        [ 1; 2; 3 ])
+    [ 16; 62; 63; 124; 125; 128 ]
 
-(* a window no packed int can hold: 100 messages in flight at once,
-   then a FIFO inversion — only the Bitset representation can keep every
-   pending slot resident, and Pmon routes to it transparently *)
+(* 100 messages in flight at once, then a FIFO inversion: every pending
+   slot stays resident in three-word rows *)
 let test_wide_window_128 () =
   let t = Pmon.create ~window:128 ~nprocs:2 plan_fifo in
-  check_bool "window 128 is wide" true (Monitor.is_wide (Pmon.monitor t));
   for m = 0 to 99 do
     ignore (Pmon.send t ~msg:m ~src:0 ~dst:1 ())
   done;
@@ -379,6 +412,28 @@ let test_window_exhaustion () =
   Monitor.send t ~msg:2 ~src:0 ~dst:1 ();
   check_int "one slot recycled" 1 (Monitor.retired t)
 
+(* slot accessors reject free and out-of-range slots instead of reading
+   another slot's bit *)
+let test_slot_range () =
+  let t = Monitor.create ~window:128 ~nprocs:2 () in
+  for m = 0 to 69 do
+    Monitor.send t ~msg:m ~src:0 ~dst:1 ()
+  done;
+  Monitor.deliver t ~msg:65;
+  check_bool "slot 65 delivered" true (Monitor.slot_delivered t 65);
+  check_bool "slot 64 pending" false (Monitor.slot_delivered t 64);
+  check_int "slot 65 holds message 65" 65 (Monitor.slot_msg t 65);
+  List.iter
+    (fun j ->
+      Alcotest.check_raises
+        (Printf.sprintf "slot %d" j)
+        (Invalid_argument "Monitor.slot_delivered: free slot")
+        (fun () -> ignore (Monitor.slot_delivered t j)))
+    [ -1; 70; 127; 128; 200 ];
+  Alcotest.check_raises "slot_msg on a free slot"
+    (Invalid_argument "Monitor.slot_msg: free slot")
+    (fun () -> ignore (Monitor.slot_msg t 70))
+
 let () =
   Alcotest.run "monitor"
     [
@@ -408,7 +463,10 @@ let () =
             test_wide_differential;
           Alcotest.test_case "window 128 (Bitset fallback)" `Quick
             test_wide_window_128;
+          Alcotest.test_case "slot accessors reject free slots" `Quick
+            test_slot_range;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_earliest_random ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_earliest_random; prop_earliest_two_words ] );
     ]
