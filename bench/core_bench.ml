@@ -9,9 +9,9 @@
      standard T2 sizes plus (4,2)/(4,3)/(3,4); --deep switches to the
      full deep tier). The "reference" arm re-enacts the pre-kernel
      pipeline from public API: materialized permutations enumeration
-     (Enumerate.runs_ref), a second from-scratch closure per run
+     (Eval_ref.runs_ref), a second from-scratch closure per run
      (Run.Abstract.create), the scalar limit checks (check_causal /
-     check_sync) and the interpreting evaluator (Eval.satisfies_ref).
+     check_sync) and the interpreting evaluator (Eval_ref.satisfies_ref).
      The "kernel" arm is the model checker over the concrete walk
      (Modelcheck_ref, the test suite's oracle). Counts and lemma
      verdicts must agree between the arms and be byte-identical at
@@ -87,7 +87,7 @@ let reference_verify sizes =
     let r = abstract_ref run in
     let causal = Result.is_ok (Limits.check_causal r)
     and sync = Result.is_ok (Limits.check_sync r) in
-    let s2 = Eval.satisfies_ref b2 r in
+    let s2 = Eval_ref.satisfies_ref b2 r in
     {
       r_runs = acc.r_runs + 1;
       r_causal = (acc.r_causal + if causal then 1 else 0);
@@ -95,17 +95,17 @@ let reference_verify sizes =
       r_ok =
         acc.r_ok
         && ((not sync) || causal)
-        && Eval.satisfies_ref b1 r = s2
-        && Eval.satisfies_ref b3 r = s2
+        && Eval_ref.satisfies_ref b1 r = s2
+        && Eval_ref.satisfies_ref b3 r = s2
         && s2 = causal
-        && List.for_all (fun p -> Eval.satisfies_ref p r) asyncs;
+        && List.for_all (fun p -> Eval_ref.satisfies_ref p r) asyncs;
     }
   in
   List.fold_left
     (fun acc (nprocs, nmsgs) ->
       List.fold_left
         (fun acc msgs ->
-          List.fold_left step acc (Enumerate.runs_ref ~nprocs ~msgs))
+          List.fold_left step acc (Eval_ref.runs_ref ~nprocs ~msgs))
         acc
         (Enumerate.configs ~nprocs ~nmsgs ()))
     { r_runs = 0; r_causal = 0; r_sync = 0; r_ok = true }
@@ -214,7 +214,7 @@ let bench_eval () =
         done;
         !last)
   in
-  let ref_counts, ref_wall = timed (fun p -> Eval.holds_ref p) in
+  let ref_counts, ref_wall = timed (fun p -> Eval_ref.holds_ref p) in
   let kern_counts, kern_wall =
     timed (fun p ->
         let c = Eval.compile p in

@@ -274,9 +274,9 @@ let faults_arg =
         ~doc:
           "fault injection: comma-separated $(b,drop=N), $(b,dup=N) \
            (permille), $(b,spike=NxF) (permille x latency factor), \
-           $(b,part=SRC>DST\\@T1-T2) (directed link partition window), \
-           $(b,crash=P\\@T1-T2) (process crash-restart window); part/crash \
-           may repeat, e.g. drop=150,part=0>1\\@100-400,crash=2\\@200-500")
+           $(b,part=SRC>DST@T1-T2) (directed link partition window), \
+           $(b,crash=P@T1-T2) (process crash-restart window); part/crash \
+           may repeat, e.g. drop=150,part=0>1@100-400,crash=2@200-500")
 
 let topology_arg =
   Arg.(
@@ -298,10 +298,10 @@ let transport_faults_arg =
     & info [ "transport-faults" ] ~docv:"SPEC"
         ~doc:
           "transport-domain fault injection (requires $(b,--topology)): \
-           comma-separated $(b,stall=T\\@T1-T2) (nothing moves on \
+           comma-separated $(b,stall=T@T1-T2) (nothing moves on \
            transport T in the window; arrivals defer to its end), \
-           $(b,tpart=T\\@T1-T2) (packets entering T in the window die), \
-           $(b,tcrash=T\\@T1-T2) (in-flight and buffered packets lost, \
+           $(b,tpart=T@T1-T2) (packets entering T in the window die), \
+           $(b,tcrash=T@T1-T2) (in-flight and buffered packets lost, \
            per-channel wire seqnos reset); clauses may repeat and may \
            also be given directly in $(b,--faults)")
 

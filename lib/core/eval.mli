@@ -11,19 +11,20 @@
     through the tautology [x.s ▷ x.r], making [X_sync] empty. Pass
     [~distinct:false] to get the plain reading.
 
-    Two matchers are provided. The {e compiled} evaluator (the default
-    behind {!find_match}/{!holds}/{!satisfies}) stages the predicate once
-    into a bit-matrix matching plan over {!Mo_order.Run.Abstract.relations}:
-    candidate messages for each variable are narrowed by row intersections,
-    with most-constrained-variable-first ordering for the boolean queries.
-    The original backtracking interpreter is kept verbatim as the
-    differential reference ([*_ref]); the two agree byte-for-byte (see
+    A predicate compiles once into a staged matching plan over relation
+    rows in the {!Mo_order.Run.Abstract.rows} layout: candidate messages
+    for each variable are narrowed by row intersections, one word at a
+    time, with most-constrained-variable-first ordering for the boolean
+    queries. One search serves runs of every size and the streaming
+    monitors ({!Masked}), whose must-relation rows share the layout. A
+    plain backtracking interpreter kept with the test support is the
+    differential reference; the two agree byte-for-byte (see
     test/test_eval_fast.ml). *)
 
 val find_match :
   ?distinct:bool -> Forbidden.t -> Mo_order.Run.Abstract.t -> int array option
 (** An assignment [a] (variable index → message index) making [B] true, if
-    any. The lexicographically least one, as the reference returns. *)
+    any: the lexicographically least one. *)
 
 val find_matches :
   ?distinct:bool ->
@@ -55,8 +56,6 @@ type compiled
 
 val compile : Forbidden.t -> compiled
 
-val predicate : compiled -> Forbidden.t
-
 val find_match_c :
   ?distinct:bool -> compiled -> Mo_order.Run.Abstract.t -> int array option
 
@@ -73,7 +72,7 @@ val satisfies_c : ?distinct:bool -> compiled -> Mo_order.Run.Abstract.t -> bool
 
 (** {1 Matching over a monitor's slot rows}
 
-    The compiled plans evaluated directly against relation rows owned by
+    The same search evaluated directly against relation rows owned by
     someone else — in practice the streaming frontier of
     {!Mo_order.Monitor}, whose [live]/[rows]/attribute arrays have
     exactly this shape. No run value, no allocation per query but the
@@ -97,32 +96,10 @@ module Masked : sig
   (** The first satisfying assignment (variable index → slot index) over
       the slots in [live], in the fast plan's order with candidates
       taken in ascending slot order, if any. [live] and [rows] are laid
-      out as {!Mo_order.Monitor.live} and {!Mo_order.Monitor.rows}: slot
-      sets of [Array.length live] words of
-      {!Mo_order.Monitor.word_bits} slots, relation section [k] of slot
-      [x] at [rows.(x).(k * Array.length live ..)], in the
-      {!Mo_order.Run.Abstract.masks} section order. [src]/[dst]/[color]
-      are per-slot attributes with [-1] for unknown (an unknown attribute
-      satisfies no guard). *)
+      out as the [live] field of {!Mo_order.Run.Abstract.shape} and
+      {!Mo_order.Run.Abstract.rows}: slot sets of [Array.length live]
+      words of {!Mo_order.Run.Abstract.word_bits} slots, relation
+      section [k] of slot [x] at [rows.(x).(k * Array.length live ..)].
+      [src]/[dst]/[color] are per-slot attributes with [-1] for unknown
+      (an unknown attribute satisfies no guard). *)
 end
-
-(** {1 Reference interpreter}
-
-    The pre-compilation backtracking matcher, kept as the differential
-    baseline and for bench B14's "before" arm. *)
-
-val find_match_ref :
-  ?distinct:bool -> Forbidden.t -> Mo_order.Run.Abstract.t -> int array option
-
-val find_matches_ref :
-  ?distinct:bool ->
-  ?limit:int ->
-  Forbidden.t ->
-  Mo_order.Run.Abstract.t ->
-  int array list
-
-val holds_ref :
-  ?distinct:bool -> Forbidden.t -> Mo_order.Run.Abstract.t -> bool
-
-val satisfies_ref :
-  ?distinct:bool -> Forbidden.t -> Mo_order.Run.Abstract.t -> bool

@@ -29,7 +29,9 @@ let make ~nvars ?(guards = []) conjuncts =
       | Term.Same_src (x, y) | Term.Same_dst (x, y) ->
           check_var nvars x "guard";
           check_var nvars y "guard"
-      | Term.Color_is (x, _) -> check_var nvars x "guard")
+      | Term.Color_is (x, c) ->
+          check_var nvars x "guard";
+          if c < 0 then invalid_arg "Forbidden.make: negative color")
     guards;
   {
     nvars;

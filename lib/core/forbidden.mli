@@ -14,7 +14,9 @@ type t = private {
 val make :
   nvars:int -> ?guards:Term.guard list -> Term.conjunct list -> t
 (** @raise Invalid_argument if a conjunct or guard mentions a variable
-    outside [0 .. nvars-1]. Duplicate conjuncts are removed. *)
+    outside [0 .. nvars-1], or a [Color_is] guard names a negative color
+    (colors are non-negative; the evaluators encode "no color" as [-1]).
+    Duplicate conjuncts are removed. *)
 
 val nvars : t -> int
 

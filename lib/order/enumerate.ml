@@ -88,13 +88,6 @@ let fold_runs ~nprocs ~msgs ~init ~f =
       acc := f !acc r);
   !acc
 
-let iter_runs ~nprocs ~msgs f =
-  enum ~nprocs ~msgs ~leaf:(fun ~seq ~builder ->
-      f
-        (Run.of_enumeration ~nprocs ~msgs
-           ~po:(Order_builder.snapshot builder)
-           (Array.map Array.to_list seq)))
-
 let runs ~nprocs ~msgs =
   List.rev (fold_runs ~nprocs ~msgs ~init:[] ~f:(fun acc r -> r :: acc))
 
@@ -105,79 +98,47 @@ let count_runs ~nprocs ~msgs =
   !n
 
 (* De-interleave a builder's event-level reach rows into Run.Abstract's
-   packed msg×msg masks (rows ss sr rs rr, then their transposes). Valid
-   on partial closures too: the projection of whatever edges are present. *)
-let masks_of_builder ~nmsgs b =
-  let masks = Array.make (8 * nmsgs) 0 in
+   rows (sections ss sr rs rr, then their transposes). The builder's
+   rows are single ints over 2 * nmsgs <= 62 events, so every run here
+   is one word per section. Valid on partial closures too: the
+   projection of whatever edges are present. *)
+let rows_of_builder ~nmsgs b =
+  let rows = Array.init nmsgs (fun _ -> [| 0; 0; 0; 0; 0; 0; 0; 0 |]) in
   for u = 0 to (2 * nmsgs) - 1 do
     let x = u lsr 1 in
-    let base = if u land 1 = 0 then 0 else 2 in
-    let row = Order_builder.reach_mask b u in
-    let sm = ref 0 and rm = ref 0 in
+    let rx = rows.(x) and xb = 1 lsl x in
+    let ks = if u land 1 = 0 then 0 else 2 in
+    let kr = ks + 1 in
+    let reach = Order_builder.reach_mask b u in
     for y = 0 to nmsgs - 1 do
-      if row land (1 lsl (2 * y)) <> 0 then sm := !sm lor (1 lsl y);
-      if row land (1 lsl ((2 * y) + 1)) <> 0 then rm := !rm lor (1 lsl y)
-    done;
-    masks.((base * nmsgs) + x) <- !sm;
-    masks.(((base + 1) * nmsgs) + x) <- !rm
-  done;
-  for k = 0 to 3 do
-    let fwd = k * nmsgs and bwd = (k + 4) * nmsgs in
-    for x = 0 to nmsgs - 1 do
-      let bits = masks.(fwd + x) and xb = 1 lsl x in
-      for y = 0 to nmsgs - 1 do
-        if bits land (1 lsl y) <> 0 then
-          masks.(bwd + y) <- masks.(bwd + y) lor xb
-      done
+      if reach land (1 lsl (2 * y)) <> 0 then begin
+        rx.(ks) <- rx.(ks) lor (1 lsl y);
+        rows.(y).(ks + 4) <- rows.(y).(ks + 4) lor xb
+      end;
+      if reach land (1 lsl ((2 * y) + 1)) <> 0 then begin
+        rx.(kr) <- rx.(kr) lor (1 lsl y);
+        rows.(y).(kr + 4) <- rows.(y).(kr + 4) lor xb
+      end
     done
   done;
-  masks
+  rows
 
-let shared_attrs msgs =
-  Array.map (fun (src, dst) -> Run.attrs_known ~src ~dst ()) msgs
+let shape_of msgs =
+  Run.Abstract.shape_of_attrs
+    (Array.map (fun (src, dst) -> Run.attrs_known ~src ~dst ()) msgs)
 
 (* The abstract fast path: de-interleave the builder's event-level reach
-   rows straight into Run.Abstract's packed msg×msg masks at each leaf —
-   no poset snapshot, no concrete Run.t, no per-run attrs. All runs of a
-   configuration share one attrs array (the records are immutable). *)
+   rows straight into Run.Abstract's rows at each leaf — no poset
+   snapshot, no concrete Run.t. All runs of a configuration share one
+   shape (message set and attributes). *)
 let fold_abstracts ~nprocs ~msgs ~init ~f =
   let nmsgs = Array.length msgs in
-  let attrs = shared_attrs msgs in
+  let shape = shape_of msgs in
   let acc = ref init in
   enum ~nprocs ~msgs ~leaf:(fun ~seq:_ ~builder ->
       acc :=
-        f !acc
-          (Run.Abstract.of_masks ~nmsgs ~attrs (masks_of_builder ~nmsgs builder)));
+        f !acc (Run.Abstract.of_rows shape (rows_of_builder ~nmsgs builder)));
   !acc
-
-(* The pre-kernel reference enumerator: materialized per-process
-   permutations, a filtered product, and a from-scratch closure per
-   candidate in Run.of_sequences. Kept verbatim as the differential
-   baseline for the incremental kernel (test/test_eval_fast.ml) and as the
-   "before" arm of bench B14. Note the two enumerators agree on the *set*
-   of runs but emit them in different orders. *)
-let runs_ref ~nprocs ~msgs =
-  let nmsgs = Array.length msgs in
-  let per_proc =
-    Array.init nprocs (fun p -> permutations (events_of ~nmsgs ~msgs p))
-  in
-  let acc = ref [] in
-  let seq = Array.make nprocs [] in
-  let rec product p =
-    if p = nprocs then begin
-      match Run.of_sequences ~nprocs ~msgs (Array.copy seq) with
-      | Ok r -> acc := r :: !acc
-      | Error _ -> ()
-    end
-    else
-      List.iter
-        (fun order ->
-          seq.(p) <- order;
-          product (p + 1))
-        per_proc.(p)
-  in
-  product 0;
-  List.rev !acc
 
 let configs ?(allow_self = false) ~nprocs ~nmsgs () =
   let endpoints =
@@ -428,10 +389,8 @@ let enum_sym ~nprocs ~msgs ~prune ~leaf =
               end))
     in
     let used = Array.make nprocs 0 in
-    let attrs = shared_attrs msgs in
-    let abstract () =
-      Run.Abstract.of_masks ~nmsgs ~attrs (masks_of_builder ~nmsgs b)
-    in
+    let shape = shape_of msgs in
+    let abstract () = Run.Abstract.of_rows shape (rows_of_builder ~nmsgs b) in
     let keys = Array.make sig_tbl_size [||] in
     let vals = Array.make sig_tbl_size 0 in
     let signature p =

@@ -17,18 +17,6 @@ val runs : nprocs:int -> msgs:(int * int) array -> Run.t list
 (** All complete runs over exactly the given message set. Two runs are
     distinct iff some process executes its events in a different order. *)
 
-val iter_runs : nprocs:int -> msgs:(int * int) array -> (Run.t -> unit) -> unit
-(** Streaming form of {!runs}: the callback sees each run in enumeration
-    order and no list is built. *)
-
-val fold_runs :
-  nprocs:int ->
-  msgs:(int * int) array ->
-  init:'acc ->
-  f:('acc -> Run.t -> 'acc) ->
-  'acc
-(** Sequential fold over {!runs} in enumeration order, streaming. *)
-
 val count_runs : nprocs:int -> msgs:(int * int) array -> int
 (** [List.length (runs ~nprocs ~msgs)], but counted at the kernel's leaves:
     no run value, poset snapshot, or list is ever built. *)
@@ -39,17 +27,11 @@ val fold_abstracts :
   init:'acc ->
   f:('acc -> Run.Abstract.t -> 'acc) ->
   'acc
-(** Like {!fold_runs} composed with {!Run.to_abstract}, but on the fast
-    path: each abstract run is built directly from the kernel's live
-    closure as packed relation masks ({!Run.Abstract.of_masks}) — no poset
-    snapshot and no concrete run — and all runs of the configuration share
-    one attrs array. Same enumeration order as {!fold_runs}. *)
-
-val runs_ref : nprocs:int -> msgs:(int * int) array -> Run.t list
-(** The pre-kernel reference enumerator (materialized permutations, product,
-    from-scratch closure per candidate). Same run {e set} as {!runs} but in
-    a different order; kept as the differential baseline and for bench B14's
-    "before" arm. *)
+(** {!runs} composed with {!Run.to_abstract}, but on the fast path:
+    each abstract run is built directly from the kernel's live closure as
+    relation rows ({!Run.Abstract.of_rows}) — no poset snapshot and no
+    concrete run — and all runs of the configuration share one
+    {!Run.Abstract.shape}. Same enumeration order as {!runs}. *)
 
 val configs :
   ?allow_self:bool -> nprocs:int -> nmsgs:int -> unit -> (int * int) array list
@@ -79,14 +61,13 @@ val fold_runs_par :
   unit ->
   'acc
 (** Parallel fold over every run of {!all_runs}, sharded by message
-    configuration (the enumeration prefix). Each shard computes
-    [fold_runs ~init ~f] over its configuration's runs in enumeration
-    order; shard accumulators are then combined with [merge] in
-    configuration order, giving
-    [fold_left merge init [acc_0; acc_1; …]]. The result is independent
-    of the pool's job count — identical to a sequential evaluation — and
-    the universe is streamed one run at a time, so memory stays flat even
-    at sizes where {!all_runs} would not fit. *)
+    configuration (the enumeration prefix). Each shard folds [f] from
+    [init] over its configuration's runs in enumeration order; shard
+    accumulators are then combined with [merge] in configuration order,
+    giving [fold_left merge init [acc_0; acc_1; …]]. The result is
+    independent of the pool's job count — identical to a sequential
+    evaluation — and the universe is streamed one run at a time, so
+    memory stays flat even at sizes where {!all_runs} would not fit. *)
 
 val fold_abstracts_par :
   pool:Mo_par.Pool.t ->

@@ -41,193 +41,103 @@ let of_string s =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Membership fast paths (masks when <= 62 messages, Bitsets beyond)  *)
+(* Membership fast paths over the relation rows                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Message-digraph rows over the forward sections: always ss/rs/rr,
-   plus sr for the full message graph ([with_sr]). Self-bit dropped —
-   sr.(x) contains x via the implicit x.s ▷ x.r edge. *)
-let mg_rows_masks mk n ~with_sr =
-  Array.init n (fun x ->
-      let row = mk.(x) lor mk.((2 * n) + x) lor mk.((3 * n) + x) in
-      let row = if with_sr then row lor mk.(n + x) else row in
-      row land lnot (1 lsl x))
-
-let mg_rows_bitsets rel n ~with_sr =
-  Array.init n (fun x ->
-      let row = Bitset.copy rel.Run.Abstract.ss.(x) in
-      if with_sr then Bitset.union_into ~dst:row rel.Run.Abstract.sr.(x);
-      Bitset.union_into ~dst:row rel.Run.Abstract.rs.(x);
-      Bitset.union_into ~dst:row rel.Run.Abstract.rr.(x);
-      Bitset.remove row x;
-      row)
-
-let acyclic_int_rows succ n =
-  let indeg = Array.make n 0 in
-  Array.iter
-    (fun row ->
-      for y = 0 to n - 1 do
-        if row land (1 lsl y) <> 0 then indeg.(y) <- indeg.(y) + 1
-      done)
-    succ;
-  let queue = Queue.create () in
-  for x = 0 to n - 1 do
-    if indeg.(x) = 0 then Queue.add x queue
-  done;
-  let numbered = ref 0 in
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    incr numbered;
-    let row = succ.(x) in
-    for y = 0 to n - 1 do
-      if row land (1 lsl y) <> 0 then begin
-        indeg.(y) <- indeg.(y) - 1;
-        if indeg.(y) = 0 then Queue.add y queue
-      end
-    done
-  done;
-  !numbered = n
-
-let acyclic_bitset_rows succ n =
-  let indeg = Array.make n 0 in
-  Array.iter
-    (fun row -> Bitset.iter (fun y -> indeg.(y) <- indeg.(y) + 1) row)
-    succ;
-  let queue = Queue.create () in
-  for x = 0 to n - 1 do
-    if indeg.(x) = 0 then Queue.add x queue
-  done;
-  let numbered = ref 0 in
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    incr numbered;
-    Bitset.iter
-      (fun y ->
-        indeg.(y) <- indeg.(y) - 1;
-        if indeg.(y) = 0 then Queue.add y queue)
-      succ.(x)
-  done;
-  !numbered = n
-
-let is_fifo_nn r =
-  let n = Run.Abstract.nmsgs r in
-  if n <= 1 then true
-  else
-    match Run.Abstract.masks r with
-    | Some mk -> acyclic_int_rows (mg_rows_masks mk n ~with_sr:false) n
-    | None ->
-        acyclic_bitset_rows
-          (mg_rows_bitsets (Run.Abstract.relations r) n ~with_sr:false)
-          n
+let wb = Run.Abstract.word_bits
 
 (* Largest strongly connected component of the message graph, by
-   Warshall closure over bit rows (n <= 62 on the mask path, and the
-   universes are tiny anyway): x and y share a component iff each
-   reaches the other. *)
+   Warshall closure over its flat successor sets: x and y share a
+   component iff each reaches the other. A message's word and bit
+   advance with its index (the word size is not a compile-time constant
+   here, so no division in the loops). *)
 let max_scc r =
   let n = Run.Abstract.nmsgs r in
   if n <= 1 then n
-  else
-    match Run.Abstract.masks r with
-    | Some mk ->
-        let reach = mg_rows_masks mk n ~with_sr:true in
-        for k = 0 to n - 1 do
-          for x = 0 to n - 1 do
-            if reach.(x) land (1 lsl k) <> 0 then
-              reach.(x) <- reach.(x) lor reach.(k)
+  else begin
+    let nw = Array.length Run.Abstract.((shape r).live) in
+    let reach = Run.Abstract.message_rows ~with_sr:true r in
+    let top = 1 lsl wb in
+    let kw = ref 0 and kb = ref 1 in
+    for k = 0 to n - 1 do
+      let ko = k * nw in
+      for x = 0 to n - 1 do
+        let xo = x * nw in
+        if reach.(xo + !kw) land !kb <> 0 then
+          for w = 0 to nw - 1 do
+            reach.(xo + w) <- reach.(xo + w) lor reach.(ko + w)
           done
-        done;
-        let best = ref 1 in
-        for x = 0 to n - 1 do
-          let scc = ref 1 in
-          for y = 0 to n - 1 do
-            if
-              y <> x
-              && reach.(x) land (1 lsl y) <> 0
-              && reach.(y) land (1 lsl x) <> 0
-            then incr scc
-          done;
-          if !scc > !best then best := !scc
-        done;
-        !best
-    | None ->
-        let rel = Run.Abstract.relations r in
-        let reach = mg_rows_bitsets rel n ~with_sr:true in
-        for k = 0 to n - 1 do
-          for x = 0 to n - 1 do
-            if Bitset.mem reach.(x) k then
-              Bitset.union_into ~dst:reach.(x) reach.(k)
-          done
-        done;
-        let best = ref 1 in
-        for x = 0 to n - 1 do
-          let scc = ref 1 in
-          for y = 0 to n - 1 do
-            if y <> x && Bitset.mem reach.(x) y && Bitset.mem reach.(y) x then
-              incr scc
-          done;
-          if !scc > !best then best := !scc
-        done;
-        !best
+      done;
+      kb := !kb lsl 1;
+      if !kb = top then begin
+        kb := 1;
+        incr kw
+      end
+    done;
+    let best = ref 1 in
+    let xw = ref 0 and xb = ref 1 in
+    for x = 0 to n - 1 do
+      let scc = ref 1 in
+      for w = 0 to nw - 1 do
+        let s = ref reach.((x * nw) + w) and y = ref (w * wb) in
+        while !s <> 0 do
+          if
+            !s land 1 <> 0 && !y <> x && reach.((!y * nw) + !xw) land !xb <> 0
+          then incr scc;
+          s := !s lsr 1;
+          incr y
+        done
+      done;
+      if !scc > !best then best := !scc;
+      xb := !xb lsl 1;
+      if !xb = top then begin
+        xb := 1;
+        incr xw
+      end
+    done;
+    !best
+  end
 
 (* The FIFO family: no overtaking pair (x.s ▷ y.s ∧ y.r ▷ x.r) whose
-   attributes match the scope. Unknown attributes satisfy no guard. *)
+   attributes match the scope. Unknown attributes (-1) satisfy no
+   guard. *)
 type scope = By_src | By_dst | By_pair
 
-let scope_same r scope x y =
-  let ax = Run.Abstract.attrs r x and ay = Run.Abstract.attrs r y in
-  let same a b = match (a, b) with Some a, Some b -> a = b | _ -> false in
-  match scope with
-  | By_src -> same ax.Run.src ay.Run.src
-  | By_dst -> same ax.Run.dst ay.Run.dst
-  | By_pair -> same ax.Run.src ay.Run.src && same ax.Run.dst ay.Run.dst
+let same (a : int array) x y = a.(x) >= 0 && a.(x) = a.(y)
 
+let scope_same r scope x y =
+  match scope with
+  | By_src -> same Run.Abstract.((shape r).src) x y
+  | By_dst -> same Run.Abstract.((shape r).dst) x y
+  | By_pair ->
+      same Run.Abstract.((shape r).src) x y
+      && same Run.Abstract.((shape r).dst) x y
+
+(* overtaking candidates for x: ss.(x) ∩ rr_t.(x), as Limits.is_causal,
+   then filtered by the attribute guard *)
 let is_fifo scope r =
-  let n = Run.Abstract.nmsgs r in
-  if n <= 1 then true
-  else begin
-    let ok = ref true in
-    (match Run.Abstract.masks r with
-    | Some mk -> (
-        (* overtaking candidates for x: ss.(x) ∩ rr_t.(x) ∖ {x}, as the
-           causal fast path, then filtered by the attribute guard *)
-        try
-          for x = 0 to n - 1 do
-            let c = mk.(x) land mk.((7 * n) + x) land lnot (1 lsl x) in
-            if c <> 0 then
-              for y = 0 to n - 1 do
-                if c land (1 lsl y) <> 0 && scope_same r scope x y then begin
-                  ok := false;
-                  raise Exit
-                end
-              done
-          done
-        with Exit -> ())
-    | None -> (
-        let rel = Run.Abstract.relations r in
-        let scratch = Bitset.create n in
-        try
-          for x = 0 to n - 1 do
-            Bitset.copy_into ~dst:scratch rel.Run.Abstract.ss.(x);
-            Bitset.inter_into ~dst:scratch rel.Run.Abstract.rr_t.(x);
-            Bitset.remove scratch x;
-            Bitset.iter
-              (fun y ->
-                if scope_same r scope x y then begin
-                  ok := false;
-                  raise Exit
-                end)
-              scratch
-          done
-        with Exit -> ()));
-    !ok
-  end
+  let n = Run.Abstract.nmsgs r and rows = Run.Abstract.rows r in
+  let nw = Array.length Run.Abstract.((shape r).live) in
+  let ok = ref true and x = ref 0 in
+  while !ok && !x < n do
+    let row = rows.(!x) in
+    for w = 0 to nw - 1 do
+      let s = ref (row.(w) land row.((7 * nw) + w)) and y = ref (w * wb) in
+      while !s <> 0 do
+        if !s land 1 <> 0 && scope_same r scope !x !y then ok := false;
+        s := !s lsr 1;
+        incr y
+      done
+    done;
+    incr x
+  done;
+  !ok
 
 let is_member m r =
   match norm m with
   | Rsc -> Limits.is_sync r
   | Ksync k -> max_scc r <= k
-  | Fifo_nn -> is_fifo_nn r
+  | Fifo_nn -> Limits.acyclic_message_graph ~with_sr:false r
   | Causal -> Limits.is_causal r
   | Fifo_1n -> is_fifo By_src r
   | Fifo_n1 -> is_fifo By_dst r
@@ -235,7 +145,7 @@ let is_member m r =
   | Async -> true
 
 (* ------------------------------------------------------------------ *)
-(* Witness-producing references (lt / message_graph, no masks)        *)
+(* Witness-producing references (lt / message_graph, no rows)         *)
 (* ------------------------------------------------------------------ *)
 
 (* Kahn over successor lists with cycle extraction, as

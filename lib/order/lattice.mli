@@ -61,15 +61,14 @@ type model =
 type violation = Limits.violation = { cycle : int list; reason : string }
 
 val is_member : model -> Run.Abstract.t -> bool
-(** Membership of the run in the model's limit set, over the packed
-    {!Run.Abstract.masks} rows when available (runs of ≤ 62 messages)
-    with a {!Bitset} fallback over {!Run.Abstract.relations} otherwise.
+(** Membership of the run in the model's limit set, over the run's
+    {!Run.Abstract.rows} at any run size.
     @raise Invalid_argument on [Ksync k] with [k < 1]. *)
 
 val check : model -> Run.Abstract.t -> (unit, violation) result
 (** The witness-producing reference: recomputes membership over
     {!Run.Abstract.lt} / {!Run.Abstract.message_graph} without touching
-    the mask fast path, and on failure names the offending messages —
+    the relation rows, and on failure names the offending messages —
     the overtaking pair for the FIFO/causal models, the message cycle
     for [Rsc]/[Fifo_nn], the oversized strongly connected component for
     [Ksync]. Agrees with {!is_member} on every run (the differential

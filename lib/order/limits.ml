@@ -29,43 +29,23 @@ let check_causal r =
    with Exit -> ());
   match !found with None -> Ok () | Some v -> Error v
 
-(* Fast membership test over the relation matrices: a causal violation is
-   some x with ss.(x) ∩ rr_t.(x) ∖ {x} ≠ ∅, i.e. a y overtaken by x.
+(* Fast membership test over the relation rows: a causal violation is
+   some x with ss.(x) ∩ rr_t.(x) ≠ ∅, i.e. a y overtaken by x (both
+   relations are strict, so x itself is never in the intersection).
    [check_causal] above stays as the reporting (and differential-reference)
    path. *)
 let is_causal r =
-  let n = Run.Abstract.nmsgs r in
-  if n <= 1 then true
-  else
-    match Run.Abstract.masks r with
-    | Some mk ->
-        (* packed rows: ss is section 0, rr_t section 7 *)
-        let ok = ref true in
-        (try
-           for x = 0 to n - 1 do
-             if mk.(x) land mk.((7 * n) + x) land lnot (1 lsl x) <> 0 then begin
-               ok := false;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        !ok
-    | None ->
-        let rel = Run.Abstract.relations r in
-        let scratch = Bitset.create n in
-        let ok = ref true in
-        (try
-           for x = 0 to n - 1 do
-             Bitset.copy_into ~dst:scratch rel.Run.Abstract.ss.(x);
-             Bitset.inter_into ~dst:scratch rel.Run.Abstract.rr_t.(x);
-             Bitset.remove scratch x;
-             if not (Bitset.is_empty scratch) then begin
-               ok := false;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        !ok
+  let n = Run.Abstract.nmsgs r and rows = Run.Abstract.rows r in
+  let nw = Array.length Run.Abstract.((shape r).live) in
+  let ok = ref true and x = ref 0 in
+  while !ok && !x < n do
+    let row = rows.(!x) in
+    for w = 0 to nw - 1 do
+      if row.(w) land row.((7 * nw) + w) <> 0 then ok := false
+    done;
+    incr x
+  done;
+  !ok
 
 (* SYNC membership: build the message graph and attempt a topological
    numbering. A cycle in the message graph is a crown; we report it. *)
@@ -130,77 +110,55 @@ let check_sync r =
       }
   end
 
-(* Fast SYNC membership: Kahn over the message graph assembled as bitset
-   rows (union of the four endpoint relations, self-loops dropped — sr.(x)
-   always contains x via x.s ▷ x.r). [check_sync] stays as the
-   witness-producing reference. *)
-let is_sync r =
+(* Kahn over the message graph's flat successor sets (x's at words
+   [x * nw ..]), scanning set bits word by word: acyclic iff every
+   message gets numbered. *)
+let acyclic_message_graph ~with_sr r =
   let n = Run.Abstract.nmsgs r in
-  if n <= 1 then true
-  else
-    match Run.Abstract.masks r with
-    | Some mk ->
-        (* message-graph rows as single ints: union of the four forward
-           sections, self-bit dropped *)
-        let succ =
-          Array.init n (fun x ->
-              (mk.(x) lor mk.(n + x) lor mk.((2 * n) + x) lor mk.((3 * n) + x))
-              land lnot (1 lsl x))
-        in
-        let indeg = Array.make n 0 in
-        Array.iter
-          (fun row ->
-            for y = 0 to n - 1 do
-              if row land (1 lsl y) <> 0 then indeg.(y) <- indeg.(y) + 1
-            done)
-          succ;
-        let queue = Queue.create () in
-        for x = 0 to n - 1 do
-          if indeg.(x) = 0 then Queue.add x queue
-        done;
-        let numbered = ref 0 in
-        while not (Queue.is_empty queue) do
-          let x = Queue.pop queue in
-          incr numbered;
-          let row = succ.(x) in
-          for y = 0 to n - 1 do
-            if row land (1 lsl y) <> 0 then begin
-              indeg.(y) <- indeg.(y) - 1;
-              if indeg.(y) = 0 then Queue.add y queue
-            end
-          done
-        done;
-        !numbered = n
-    | None ->
-        let rel = Run.Abstract.relations r in
-        let succ =
-          Array.init n (fun x ->
-              let row = Bitset.copy rel.Run.Abstract.ss.(x) in
-              Bitset.union_into ~dst:row rel.Run.Abstract.sr.(x);
-              Bitset.union_into ~dst:row rel.Run.Abstract.rs.(x);
-              Bitset.union_into ~dst:row rel.Run.Abstract.rr.(x);
-              Bitset.remove row x;
-              row)
-        in
-        let indeg = Array.make n 0 in
-        Array.iter
-          (fun row -> Bitset.iter (fun y -> indeg.(y) <- indeg.(y) + 1) row)
-          succ;
-        let queue = Queue.create () in
-        for x = 0 to n - 1 do
-          if indeg.(x) = 0 then Queue.add x queue
-        done;
-        let numbered = ref 0 in
-        while not (Queue.is_empty queue) do
-          let x = Queue.pop queue in
-          incr numbered;
-          Bitset.iter
-            (fun y ->
-              indeg.(y) <- indeg.(y) - 1;
-              if indeg.(y) = 0 then Queue.add y queue)
-            succ.(x)
-        done;
-        !numbered = n
+  let nw = Array.length Run.Abstract.((shape r).live) in
+  let g = Run.Abstract.message_rows ~with_sr r in
+  let indeg = Array.make n 0 in
+  for x = 0 to n - 1 do
+    for w = 0 to nw - 1 do
+      let s = ref g.((x * nw) + w) and y = ref (w * Run.Abstract.word_bits) in
+      while !s <> 0 do
+        if !s land 1 <> 0 then indeg.(!y) <- indeg.(!y) + 1;
+        s := !s lsr 1;
+        incr y
+      done
+    done
+  done;
+  let queue = Array.make n 0 and tail = ref 0 in
+  for x = 0 to n - 1 do
+    if indeg.(x) = 0 then begin
+      queue.(!tail) <- x;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let x = queue.(!head) in
+    incr head;
+    for w = 0 to nw - 1 do
+      let s = ref g.((x * nw) + w) and y = ref (w * Run.Abstract.word_bits) in
+      while !s <> 0 do
+        if !s land 1 <> 0 then begin
+          indeg.(!y) <- indeg.(!y) - 1;
+          if indeg.(!y) = 0 then begin
+            queue.(!tail) <- !y;
+            incr tail
+          end
+        end;
+        s := !s lsr 1;
+        incr y
+      done
+    done
+  done;
+  !tail = n
+
+(* Fast SYNC membership: Kahn over the full message graph. [check_sync]
+   stays as the witness-producing reference. *)
+let is_sync r = acyclic_message_graph ~with_sr:true r
 
 type cls = Sync | Causal_only | Async_only
 

@@ -29,7 +29,7 @@ val check_causal : Run.Abstract.t -> (unit, violation) result
 
 val is_causal : Run.Abstract.t -> bool
 (** Equivalent to [Result.is_ok (check_causal r)], computed over the run's
-    {!Run.Abstract.relations} bit matrices (no violation reported). *)
+    {!Run.Abstract.rows} (no violation reported). *)
 
 val check_sync : Run.Abstract.t -> (int array, violation) result
 (** On success returns a numbering [T] (indexed by message) witnessing the
@@ -37,7 +37,13 @@ val check_sync : Run.Abstract.t -> (int array, violation) result
 
 val is_sync : Run.Abstract.t -> bool
 (** Equivalent to [Result.is_ok (check_sync r)], computed over the run's
-    {!Run.Abstract.relations} bit matrices (no witness produced). *)
+    {!Run.Abstract.rows} (no witness produced): it is
+    [acyclic_message_graph ~with_sr:true r]. *)
+
+val acyclic_message_graph : with_sr:bool -> Run.Abstract.t -> bool
+(** Whether {!Run.Abstract.message_rows} [~with_sr r] is acyclic, by
+    Kahn's algorithm over its set bits. With [~with_sr:false] this is
+    the one-queue FIFO test of {!Lattice}. *)
 
 type cls = Sync | Causal_only | Async_only
 (** The strongest limit set a run belongs to: [Sync] means

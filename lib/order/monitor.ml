@@ -1,13 +1,12 @@
 (* Streaming must-happened-before frontier over a bounded slot window.
 
-   Every slot set is [nw = ceil (window / word_bits)] ints: slot y is bit
-   [y mod word_bits] of word [y / word_bits], so a window of at most 62
-   slots is one word per set, exactly the Run.Abstract.masks rows. Slot
-   x's state is one block, rows.(x): the eight relation sections in
-   Run.Abstract order (section k at words [k * nw ..]), then sp_s and
-   sp_r. Bit y of a forward section of row x means x.p ▷ y.q; transpose
-   sections mirror column reads. Every update keeps forward and
-   transpose sections in lock step.
+   Every slot set is [nw = ceil (window / wb)] ints, wb =
+   Run.Abstract.word_bits: slot y is bit [y mod wb] of word [y / wb], as
+   in Run.Abstract.rows. Slot x's state is one block, rows.(x): the eight
+   relation sections in Run.Abstract order (section k at words
+   [k * nw ..]), then sp_s and sp_r. Bit y of a forward section of row x
+   means x.p ▷ y.q; transpose sections mirror column reads. Every update
+   keeps forward and transpose sections in lock step.
 
    Per process p the monitor keeps past_s / past_r (nw words at p * nw):
    the slots whose send (resp. delivery) is in the causal past of p's
@@ -19,7 +18,7 @@
 
 let max_window = 4096
 let default_window = 62
-let word_bits = 62
+let wb = Run.Abstract.word_bits
 
 (* section offsets, as Run.Abstract: ss sr rs rr then transposes, then
    the frozen send pasts *)
@@ -61,7 +60,7 @@ let create ?(window = default_window) ~nprocs () =
   if window < 1 || window > max_window then
     invalid_arg "Monitor.create: window out of range";
   if nprocs <= 0 then invalid_arg "Monitor.create: nprocs must be positive";
-  let nw = (window + word_bits - 1) / word_bits in
+  let nw = (window + wb - 1) / wb in
   {
     window;
     nprocs;
@@ -118,7 +117,7 @@ let slot_msg t j =
 
 let slot_delivered t j =
   check_slot t j "slot_delivered";
-  t.delivered.(j / word_bits) land (1 lsl (j mod word_bits)) <> 0
+  t.delivered.(j / wb) land (1 lsl (j mod wb)) <> 0
 
 (* rows.(x).(i) <- rows.(x).(i) lor b for every slot x in [set], one word
    of a slot set whose bit 0 is slot [base] *)
@@ -151,8 +150,8 @@ let or_set_into_rows (rows : int array array) set base i (src : int array)
 
 (* recycle slot k: erase it from every row, past and index *)
 let retire t k =
-  let nw = t.nw and wk = k / word_bits in
-  let keep = lnot (1 lsl (k mod word_bits)) in
+  let nw = t.nw and wk = k / wb in
+  let keep = lnot (1 lsl (k mod wb)) in
   for x = 0 to t.window - 1 do
     let r = t.rows.(x) in
     for s = 0 to sections - 1 do
@@ -193,7 +192,7 @@ let send t ~msg ~src ~dst ?(color = -1) () =
     invalid_arg "Monitor.send: duplicate send";
   let j = alloc t in
   let nw = t.nw and rows = t.rows in
-  let wj = j / word_bits and bj = 1 lsl (j mod word_bits) in
+  let wj = j / wb and bj = 1 lsl (j mod wb) in
   let rj = rows.(j) in
   Hashtbl.replace t.slot_of msg j;
   t.slot_id.(j) <- msg;
@@ -201,7 +200,7 @@ let send t ~msg ~src ~dst ?(color = -1) () =
   t.slot_dst.(j) <- dst;
   t.slot_color.(j) <- color;
   for w = 0 to nw - 1 do
-    let base = w * word_bits in
+    let base = w * wb in
     let ps = t.past_s.((src * nw) + w) and pr = t.past_r.((src * nw) + w) in
     rj.((sp_s * nw) + w) <- ps;
     rj.((sp_r * nw) + w) <- pr;
@@ -243,7 +242,7 @@ let deliver t ~msg =
       if slot_delivered t j then
         invalid_arg "Monitor.deliver: duplicate delivery";
       let nw = t.nw and rows = t.rows in
-      let wj = j / word_bits and bj = 1 lsl (j mod word_bits) in
+      let wj = j / wb and bj = 1 lsl (j mod wb) in
       let rj = rows.(j) in
       let q = t.slot_dst.(j) in
       let qo = q * nw in
@@ -251,7 +250,7 @@ let deliver t ~msg =
          virtual rows written at send time are always a subset, so only
          the delta needs forward updates. *)
       for w = 0 to nw - 1 do
-        let base = w * word_bits and jb = if w = wj then bj else 0 in
+        let base = w * wb and jb = if w = wj then bj else 0 in
         let es = t.past_s.(qo + w) lor rj.((sp_s * nw) + w) lor jb in
         let er = t.past_r.(qo + w) lor rj.((sp_r * nw) + w) in
         or_into_rows rows
@@ -272,14 +271,14 @@ let deliver t ~msg =
       (* q's past grows by ds / dr, the newly absorbed events (and j.r
          itself): they precede every delivery still pending at q *)
       for w = 0 to nw - 1 do
-        let base = w * word_bits and jb = if w = wj then bj else 0 in
+        let base = w * wb and jb = if w = wj then bj else 0 in
         let ds = (rj.((sp_s * nw) + w) lor jb) land lnot t.past_s.(qo + w) in
         let dr = (rj.((sp_r * nw) + w) lor jb) land lnot t.past_r.(qo + w) in
         if !pending_at_q then begin
           or_set_into_rows rows ds base (sr * nw) t.pend_to qo nw;
           or_set_into_rows rows dr base (rr * nw) t.pend_to qo nw;
           for pw = 0 to nw - 1 do
-            let p = t.pend_to.(qo + pw) and pbase = pw * word_bits in
+            let p = t.pend_to.(qo + pw) and pbase = pw * wb in
             if ds <> 0 then or_into_rows rows p pbase ((sr_t * nw) + w) ds;
             if dr <> 0 then or_into_rows rows p pbase ((rr_t * nw) + w) dr
           done

@@ -6,7 +6,7 @@
     the {e must-happened-before} relation of the stream — the set of
     endpoint pairs [x.p ▷ y.q] that hold in {e every} completion of the
     prefix seen so far — as bit-matrix rows of int words, the layout of
-    {!Run.Abstract.masks} widened to as many words as the window needs.
+    {!Run.Abstract.rows} at as many words as the window needs.
     A compiled forbidden predicate evaluated over these rows (see
     [Mo_core.Eval.Masked] and [Mo_core.Pmon]) then flags a violation the
     moment a match becomes unavoidable, not when it is finally observed.
@@ -23,10 +23,11 @@
 
     State is a fixed {e window} of message slots: per-slot relation
     rows, per-slot causal stamps, and per-process past sets — no poset,
-    no event history. Every slot set is [ceil (window / word_bits)] ints,
-    so a window of at most 62 slots keeps one word per row, exactly the
-    {!Run.Abstract.masks} layout, and wider windows (up to {!max_window})
-    run the same automaton over more words. No event allocates.
+    no event history. Every slot set is
+    [ceil (window / Run.Abstract.word_bits)] ints, so a window of at most
+    62 slots keeps one word per row and wider windows (up to
+    {!max_window}) run the same automaton over more words. No event
+    allocates.
     Delivered messages are retired oldest-first when the window fills, so
     resident memory is a constant of [(window, nprocs)], independent of
     stream length. Retirement bounds what the monitor can match:
@@ -44,10 +45,6 @@ val max_window : int
 val default_window : int
 (** 62: the window of {!create}, [mopc monitor] and mopcd's [monitor] op
     when none is given — the widest one-word window. *)
-
-val word_bits : int
-(** 62: slots per word of a slot set. Slot [y] is bit
-    [y mod word_bits] of word [y / word_bits]. *)
 
 val create : ?window:int -> nprocs:int -> unit -> t
 (** [window] defaults to {!default_window}.
@@ -86,11 +83,12 @@ val deliver : t -> msg:int -> unit
     between events. *)
 
 val live : t -> int array
-(** Occupied slots, as a slot set of [ceil (window / word_bits)] words. *)
+(** Occupied slots, as a slot set of
+    [ceil (window / Run.Abstract.word_bits)] words. *)
 
 val rows : t -> int array array
 (** Per-slot state: [(rows t).(x)] holds slot [x]'s eight must-relation
-    sections in the {!Run.Abstract.masks} order
+    sections in the {!Run.Abstract.rows} order
     [ss sr rs rr ss_t sr_t rs_t rr_t], section [k] as the slot set at
     words [k * nw .. k * nw + nw - 1] where [nw = Array.length (live t)],
     followed by two private stamp sets. *)

@@ -6,30 +6,44 @@ let attrs_known ~src ~dst ?color () =
   { src = Some src; dst = Some dst; color }
 
 module Abstract = struct
-  type relations = {
-    ss : Bitset.t array;
-    sr : Bitset.t array;
-    rs : Bitset.t array;
-    rr : Bitset.t array;
-    ss_t : Bitset.t array;
-    sr_t : Bitset.t array;
-    rs_t : Bitset.t array;
-    rr_t : Bitset.t array;
+  let word_bits = 62
+
+  type shape = {
+    nmsgs : int;
+    live : int array; (* the set of all nmsgs messages *)
+    src : int array; (* per message, -1 = unknown *)
+    dst : int array;
+    color : int array;
   }
 
   type t = {
-    nmsgs : int;
+    shape : shape;
     po_l : Poset.t Lazy.t;
-        (* lazy so the enumeration kernel can hand over only the packed
-           closure masks; forced on the first event-level query *)
-    attrs : attrs array;
-    mutable rels : relations option; (* Bitset view, computed on first use *)
-    mutable masks : int array option;
-        (* packed relation rows: row x of relation k at index k*nmsgs + x,
-           in the order ss sr rs rr ss_t sr_t rs_t rr_t. Only when
-           nmsgs <= 62; computed on first use unless supplied by the
-           enumeration kernel. *)
+        (* lazy so the enumeration kernel can hand over only the rows;
+           forced on the first event-level query *)
+    mutable rows : int array array option;
+        (* per message x, the eight relation sections ss sr rs rr ss_t
+           sr_t rs_t rr_t, section k at words [k * nw ..]; computed on
+           first use unless supplied by the enumeration kernel *)
   }
+
+  let known what = function
+    | None -> -1
+    | Some v when v >= 0 -> v
+    | Some _ -> invalid_arg ("Run.Abstract: negative " ^ what ^ " attribute")
+
+  let shape_of_attrs attrs =
+    let n = Array.length attrs in
+    let nw = (n + word_bits - 1) / word_bits in
+    {
+      nmsgs = n;
+      live =
+        Array.init nw (fun w ->
+            (1 lsl min word_bits (n - (w * word_bits))) - 1);
+      src = Array.map (fun (a : attrs) -> known "src" a.src) attrs;
+      dst = Array.map (fun (a : attrs) -> known "dst" a.dst) attrs;
+      color = Array.map (fun (a : attrs) -> known "color" a.color) attrs;
+    }
 
   let create ~nmsgs ?attrs edges =
     let attrs =
@@ -40,6 +54,7 @@ module Abstract = struct
           a
       | None -> Array.make nmsgs no_attrs
     in
+    let shape = shape_of_attrs attrs in
     let implicit =
       List.init nmsgs (fun m ->
           (Event.encode (Event.send m), Event.encode (Event.deliver m)))
@@ -49,80 +64,78 @@ module Abstract = struct
     in
     match Poset.of_edges (2 * nmsgs) (implicit @ encoded) with
     | None -> None
-    | Some po ->
-        Some
-          { nmsgs; po_l = Lazy.from_val po; attrs; rels = None; masks = None }
+    | Some po -> Some { shape; po_l = Lazy.from_val po; rows = None }
 
   let create_exn ~nmsgs ?attrs edges =
     match create ~nmsgs ?attrs edges with
     | Some t -> t
     | None -> invalid_arg "Run.Abstract.create_exn: not a partial order"
 
-  let nmsgs t = t.nmsgs
+  let nmsgs t = t.shape.nmsgs
+  let shape t = t.shape
+  let words t = Array.length t.shape.live
 
   let attrs t m =
-    if m < 0 || m >= t.nmsgs then invalid_arg "Run.Abstract.attrs";
-    t.attrs.(m)
+    if m < 0 || m >= t.shape.nmsgs then invalid_arg "Run.Abstract.attrs";
+    let opt v = if v < 0 then None else Some v in
+    {
+      src = opt t.shape.src.(m);
+      dst = opt t.shape.dst.(m);
+      color = opt t.shape.color.(m);
+    }
 
   let poset t = Lazy.force t.po_l
-
-  (* capacity of the packed int-mask representation: one bit per message
-     per row, so it carries runs of up to 62 messages (every enumerable
-     universe; the bench harness's synthetic multi-thousand-message runs
-     fall back to the Bitset view) *)
-  let max_mask_msgs = 62
 
   (* De-interleave the event-level reachability rows into the four msg×msg
      endpoint relations (plus their transposes, sections 4-7). Even
      vertices are sends, odd ones deliveries (see Event.encode). *)
-  let build_masks t =
-    let n = t.nmsgs in
-    let masks = Array.make (8 * n) 0 in
+  let build_rows t =
+    let n = nmsgs t and nw = words t in
+    let rows = Array.init n (fun _ -> Array.make (8 * nw) 0) in
     let po = poset t in
     for u = 0 to (2 * n) - 1 do
       let x = u lsr 1 in
+      let rx = rows.(x) in
       let base = if u land 1 = 0 then 0 else 2 in
+      let xw = x / word_bits and xb = 1 lsl (x mod word_bits) in
       Poset.iter_above po u (fun v ->
           let y = v lsr 1 in
           let k = base + (v land 1) in
-          masks.((k * n) + x) <- masks.((k * n) + x) lor (1 lsl y);
-          masks.(((k + 4) * n) + y) <-
-            masks.(((k + 4) * n) + y) lor (1 lsl x))
+          let i = (k * nw) + (y / word_bits) in
+          rx.(i) <- rx.(i) lor (1 lsl (y mod word_bits));
+          let ry = rows.(y) and j = ((k + 4) * nw) + xw in
+          ry.(j) <- ry.(j) lor xb)
     done;
-    masks
+    rows
 
-  let masks t =
-    match t.masks with
-    | Some _ as m -> m
+  let rows t =
+    match t.rows with
+    | Some r -> r
     | None ->
-        if t.nmsgs > max_mask_msgs then None
-        else begin
-          let m = build_masks t in
-          t.masks <- Some m;
-          Some m
-        end
+        let r = build_rows t in
+        t.rows <- Some r;
+        r
 
-  (* reconstruct the event-level order from the packed masks: the closure
-     is already known, so the "generators" are the closure edges
-     themselves (Poset only needs them acyclic, not reduced) *)
-  let poset_of_masks ~nmsgs masks =
+  (* reconstruct the event-level order from the rows: the closure is
+     already known, so the "generators" are the closure edges themselves
+     (Poset only needs them acyclic, not reduced) *)
+  let poset_of_rows ~nmsgs ~nw rows =
     let n2 = 2 * nmsgs in
     let succ = Array.make n2 [] in
     let reach = Array.init n2 (fun _ -> Bitset.create n2) in
     for u = 0 to n2 - 1 do
-      let x = u lsr 1 in
+      let row = rows.(u lsr 1) in
       let base = if u land 1 = 0 then 0 else 2 in
-      let sbits = masks.((base * nmsgs) + x)
-      and rbits = masks.(((base + 1) * nmsgs) + x) in
-      let row = reach.(u) in
+      let reach_u = reach.(u) in
       let out = ref [] in
       for y = nmsgs - 1 downto 0 do
-        if rbits land (1 lsl y) <> 0 then begin
-          Bitset.add row ((2 * y) + 1);
+        let w = y / word_bits and b = 1 lsl (y mod word_bits) in
+        if row.(((base + 1) * nw) + w) land b <> 0 then begin
+          Bitset.add reach_u ((2 * y) + 1);
           out := ((2 * y) + 1) :: !out
         end;
-        if sbits land (1 lsl y) <> 0 then begin
-          Bitset.add row (2 * y);
+        if row.((base * nw) + w) land b <> 0 then begin
+          Bitset.add reach_u (2 * y);
           out := (2 * y) :: !out
         end
       done;
@@ -130,95 +143,46 @@ module Abstract = struct
     done;
     Poset.of_closure_unchecked ~n:n2 ~succ ~reach
 
-  (* Trusted constructor for the enumeration kernel: [masks] must be the
-     packed relation rows of a complete run's order. The poset view is
-     rebuilt lazily from the masks if ever queried. *)
-  let of_masks ~nmsgs ~attrs masks =
-    if nmsgs > max_mask_msgs then invalid_arg "Run.Abstract.of_masks: too big";
-    if Array.length attrs <> nmsgs then
-      invalid_arg "Run.Abstract.of_masks: attrs length mismatch";
-    if Array.length masks <> 8 * nmsgs then
-      invalid_arg "Run.Abstract.of_masks: masks length mismatch";
-    {
-      nmsgs;
-      po_l = lazy (poset_of_masks ~nmsgs masks);
-      attrs;
-      rels = None;
-      masks = Some masks;
-    }
-
-  let relations t =
-    match t.rels with
-    | Some r -> r
-    | None ->
-        let n = t.nmsgs in
-        let r =
-          match masks t with
-          | Some mk ->
-              let section k =
-                Array.init n (fun x ->
-                    let bits = mk.((k * n) + x) in
-                    let row = Bitset.create n in
-                    for y = 0 to n - 1 do
-                      if bits land (1 lsl y) <> 0 then Bitset.add row y
-                    done;
-                    row)
-              in
-              {
-                ss = section 0;
-                sr = section 1;
-                rs = section 2;
-                rr = section 3;
-                ss_t = section 4;
-                sr_t = section 5;
-                rs_t = section 6;
-                rr_t = section 7;
-              }
-          | None ->
-              (* > 62 messages: build the Bitset view off the poset *)
-              let mk () = Array.init n (fun _ -> Bitset.create n) in
-              let ss = mk ()
-              and sr = mk ()
-              and rs = mk ()
-              and rr = mk ()
-              and ss_t = mk ()
-              and sr_t = mk ()
-              and rs_t = mk ()
-              and rr_t = mk () in
-              let po = poset t in
-              for u = 0 to (2 * n) - 1 do
-                let x = u lsr 1 in
-                let u_send = u land 1 = 0 in
-                Poset.iter_above po u (fun v ->
-                    let y = v lsr 1 in
-                    match (u_send, v land 1 = 0) with
-                    | true, true ->
-                        Bitset.add ss.(x) y;
-                        Bitset.add ss_t.(y) x
-                    | true, false ->
-                        Bitset.add sr.(x) y;
-                        Bitset.add sr_t.(y) x
-                    | false, true ->
-                        Bitset.add rs.(x) y;
-                        Bitset.add rs_t.(y) x
-                    | false, false ->
-                        Bitset.add rr.(x) y;
-                        Bitset.add rr_t.(y) x)
-              done;
-              { ss; sr; rs; rr; ss_t; sr_t; rs_t; rr_t }
-        in
-        t.rels <- Some r;
-        r
+  let of_rows shape rows =
+    let n = shape.nmsgs and nw = Array.length shape.live in
+    if Array.length rows <> n then
+      invalid_arg "Run.Abstract.of_rows: rows do not match the shape";
+    { shape; po_l = lazy (poset_of_rows ~nmsgs:n ~nw rows); rows = Some rows }
 
   let lt t h g = Poset.lt (poset t) (Event.encode h) (Event.encode g)
 
   let concurrent t h g =
     Poset.concurrent (poset t) (Event.encode h) (Event.encode g)
 
+  (* Every edge x.p ▷ y.q of the message graph implies x.s ▷ y.r
+     (x.s ⊴ x.p, y.q ⊴ y.r), so the graph is sr without its diagonal
+     (x.s ▷ x.r); without sr it is ss ∪ rr, as rs ⊆ ss
+     (x.s ▷ x.r ▷ y.s). *)
+  let message_rows ~with_sr t =
+    let n = nmsgs t and nw = words t in
+    let rows = rows t in
+    let g = Array.make (n * nw) 0 in
+    for x = 0 to n - 1 do
+      let r = rows.(x) and o = x * nw in
+      if with_sr then begin
+        for w = 0 to nw - 1 do
+          g.(o + w) <- r.(nw + w)
+        done;
+        let i = o + (x / word_bits) in
+        g.(i) <- g.(i) land lnot (1 lsl (x mod word_bits))
+      end
+      else
+        for w = 0 to nw - 1 do
+          g.(o + w) <- r.(w) lor r.((3 * nw) + w)
+        done
+    done;
+    g
+
   let message_graph t =
+    let n = nmsgs t in
     let acc = ref [] in
-    for x = 0 to t.nmsgs - 1 do
-      for y = 0 to t.nmsgs - 1 do
+    for x = 0 to n - 1 do
+      for y = 0 to n - 1 do
         if x <> y then
           let precedes =
             List.exists
@@ -235,18 +199,17 @@ module Abstract = struct
     done;
     List.rev !acc
 
-  let events t =
-    List.init (2 * t.nmsgs) Event.decode
-
-  let attrs_equal a b = a.src = b.src && a.dst = b.dst && a.color = b.color
+  let events t = List.init (2 * nmsgs t) Event.decode
 
   let equal a b =
-    a.nmsgs = b.nmsgs
+    nmsgs a = nmsgs b
     && Poset.relation_equal (poset a) (poset b)
-    && Array.for_all2 attrs_equal a.attrs b.attrs
+    && a.shape.src = b.shape.src
+    && a.shape.dst = b.shape.dst
+    && a.shape.color = b.shape.color
 
   let pp ppf t =
-    Format.fprintf ppf "@[<v>run(%d msgs):" t.nmsgs;
+    Format.fprintf ppf "@[<v>run(%d msgs):" (nmsgs t);
     List.iter
       (fun (h, g) ->
         Format.fprintf ppf "@ %a -> %a" Event.pp (Event.decode h) Event.pp
@@ -326,17 +289,20 @@ let build_poset ~msgs seq =
   done;
   Poset.of_edges (2 * nmsgs) !edges
 
+(* colors are non-negative: the abstract view encodes "no color" as -1 *)
+let colors_of name ~msgs = function
+  | Some c ->
+      if Array.length c <> Array.length msgs then
+        invalid_arg (name ^ ": colors length mismatch");
+      if Array.exists (function Some k -> k < 0 | None -> false) c then
+        invalid_arg (name ^ ": negative color");
+      c
+  | None -> Array.make (Array.length msgs) None
+
 let of_sequences ~nprocs ~msgs ?colors seq =
   if Array.length seq <> nprocs then
     invalid_arg "Run.of_sequences: sequence array length <> nprocs";
-  let colors =
-    match colors with
-    | Some c ->
-        if Array.length c <> Array.length msgs then
-          invalid_arg "Run.of_sequences: colors length mismatch";
-        c
-    | None -> Array.make (Array.length msgs) None
-  in
+  let colors = colors_of "Run.of_sequences" ~msgs colors in
   match validate_placement ~nprocs ~msgs seq with
   | Some e -> Error e
   | None -> (
@@ -345,14 +311,7 @@ let of_sequences ~nprocs ~msgs ?colors seq =
       | Some po -> Ok { nprocs; msgs; colors; seq; po })
 
 let of_enumeration ~nprocs ~msgs ?colors ~po seq =
-  let colors =
-    match colors with
-    | Some c ->
-        if Array.length c <> Array.length msgs then
-          invalid_arg "Run.of_enumeration: colors length mismatch";
-        c
-    | None -> Array.make (Array.length msgs) None
-  in
+  let colors = colors_of "Run.of_enumeration" ~msgs colors in
   if Array.length seq <> nprocs then
     invalid_arg "Run.of_enumeration: sequence array length <> nprocs";
   if Poset.size po <> 2 * Array.length msgs then
@@ -412,22 +371,17 @@ let lt t h g = Poset.lt t.po (Event.encode h) (Event.encode g)
 let concurrent t h g = Poset.concurrent t.po (Event.encode h) (Event.encode g)
 
 let to_abstract t =
-  let nmsgs = Array.length t.msgs in
-  let attrs =
-    Array.init nmsgs (fun m ->
-        let src, dst = t.msgs.(m) in
-        { src = Some src; dst = Some dst; color = t.colors.(m) })
+  let shape =
+    Abstract.shape_of_attrs
+      (Array.mapi
+         (fun m (src, dst) ->
+           { src = Some src; dst = Some dst; color = t.colors.(m) })
+         t.msgs)
   in
   (* the concrete order already lives on Event.encode'd vertices and
      includes every x.s ▷ x.r edge, so the abstract view can share the
      poset instead of rebuilding its closure *)
-  {
-    Abstract.nmsgs;
-    po_l = Lazy.from_val t.po;
-    attrs;
-    rels = None;
-    masks = None;
-  }
+  { Abstract.shape; po_l = Lazy.from_val t.po; rows = None }
 
 let linearize t =
   let cursors = Array.copy t.seq in

@@ -1,20 +1,21 @@
-(* Differential tests for the PR-5 kernel: the incremental backtracking
-   enumerator, the mask/bitset compiled evaluator, and the fast limit
-   checks must be indistinguishable from their reference counterparts.
+(* Differential tests for the kernel: the incremental backtracking
+   enumerator, the compiled row-based evaluator, and the fast limit
+   checks must be indistinguishable from their reference counterparts
+   (the reference tier lives in test/support/eval_ref.ml).
 
    - enumerator: [Enumerate.runs] emits the same run SET as the
-     materialized [Enumerate.runs_ref] (different order is allowed and
+     materialized [Eval_ref.runs_ref] (different order is allowed and
      expected), [count_runs] counts it, and the abstract fast path
-     ([fold_abstracts], packed masks + lazy poset) yields runs equal to
+     ([fold_abstracts], relation rows + lazy poset) yields runs equal to
      the [to_abstract] projections — [Run.Abstract.equal] forces the
-     mask-reconstructed poset against the concrete one.
+     row-reconstructed poset against the concrete one.
    - evaluator: on ≥ 500 random guarded predicates, [find_matches]
      (compiled, lex plan) is byte-for-byte the reference interpreter's
      match list, and [holds] (compiled, reordered plan) agrees as a
-     boolean — over mask-backed abstract runs of every standard size.
-   - large runs: with > 62 messages the packed masks are unavailable and
-     everything must fall back to the Bitset/poset paths; the arms must
-     still agree.
+     boolean — over row-backed abstract runs of every standard size.
+   - large runs: above 62 messages every relation section takes more
+     than one word; the arms must still agree, at the word boundaries
+     (61-64 and 123-126 messages) too.
    - model checker: the B12-tier universe counts are pinned; these are
      the numbers the paper's tables and BENCH_core.json carry. *)
 
@@ -36,7 +37,7 @@ let test_run_sets () =
       List.iter
         (fun msgs ->
           let fast = Enumerate.runs ~nprocs ~msgs
-          and slow = Enumerate.runs_ref ~nprocs ~msgs in
+          and slow = Eval_ref.runs_ref ~nprocs ~msgs in
           check_int "count_runs" (List.length slow)
             (Enumerate.count_runs ~nprocs ~msgs);
           let keys l = List.sort compare (List.map run_key l) in
@@ -51,8 +52,8 @@ let test_abstract_fast_path () =
       List.iter
         (fun msgs ->
           (* same enumeration order on both sides, so compare pairwise;
-             equality forces the lazy poset rebuilt from the packed masks
-             against the concrete run's own closure *)
+             equality forces the lazy poset rebuilt from the rows against
+             the concrete run's own closure *)
           let concrete =
             List.map Run.to_abstract (Enumerate.runs ~nprocs ~msgs)
           in
@@ -66,8 +67,8 @@ let test_abstract_fast_path () =
           List.iter2
             (fun a b ->
               check_bool "abstract runs equal" true (Run.Abstract.equal a b);
-              (* and the limit verdicts agree between mask and poset
-                 representations *)
+              (* and the limit verdicts agree between row-built and
+                 poset-built runs *)
               check_bool "is_causal agrees" (Limits.is_causal a)
                 (Limits.is_causal b);
               check_bool "is_sync agrees" (Limits.is_sync a)
@@ -80,7 +81,7 @@ let test_abstract_fast_path () =
 
 (* ---- compiled evaluator vs reference interpreter ------------------ *)
 
-(* one shared pool of mask-backed abstract runs covering every standard
+(* one shared pool of row-backed abstract runs covering every standard
    size; sampled by stride so each case sees a spread, not a prefix *)
 let run_pool =
   lazy
@@ -124,12 +125,12 @@ let agree_on_pred (p, runs) =
   List.for_all
     (fun r ->
       (* byte-for-byte: same matches, in the same order *)
-      Eval.find_matches_ref p r = Eval.find_matches_c c r
-      && Eval.find_match_ref p r = Eval.find_match_c c r
+      Eval_ref.find_matches_ref p r = Eval.find_matches_c c r
+      && Eval_ref.find_match_ref p r = Eval.find_match_c c r
       (* the reordered boolean plan agrees too, as does non-distinct
          matching *)
-      && Eval.holds_ref p r = Eval.holds_c c r
-      && Eval.holds_ref ~distinct:false p r
+      && Eval_ref.holds_ref p r = Eval.holds_c c r
+      && Eval_ref.holds_ref ~distinct:false p r
          = Eval.holds_c ~distinct:false c r)
     runs
 
@@ -139,12 +140,12 @@ let test_eval_differential =
     ~pp:(fun (p, _) -> Forbidden.to_string p)
     agree_on_pred
 
-(* ---- the > 62-message fallback ----------------------------------- *)
+(* ---- runs wider than one word ------------------------------------ *)
 
 let big_n = 70
 
 (* a pipelined (totally ordered) big run and one with a single overtaken
-   pair; both too wide for packed masks *)
+   pair; both two words per relation section *)
 let big_chain =
   lazy
     (let edges =
@@ -165,8 +166,8 @@ let test_big_runs () =
   List.iter
     (fun r ->
       let r = Lazy.force r in
-      check_bool "masks unavailable above 62 msgs" true
-        (Run.Abstract.masks r = None);
+      check_int "two words per relation section" 2
+        (Array.length Run.Abstract.((shape r).live));
       check_bool "is_causal = check_causal" (Limits.is_causal r)
         (Result.is_ok (Limits.check_causal r));
       check_bool "is_sync = check_sync" (Limits.is_sync r)
@@ -174,13 +175,72 @@ let test_big_runs () =
       List.iter
         (fun (e : Catalog.entry) ->
           check_bool e.Catalog.name
-            (Eval.holds_ref e.Catalog.pred r)
+            (Eval_ref.holds_ref e.Catalog.pred r)
             (Eval.holds e.Catalog.pred r))
         [ Catalog.causal_b2; Catalog.sync_crown 2; Catalog.fifo ])
     [ big_chain; big_overtake ];
   check_bool "chain is causal" true (Limits.is_causal (Lazy.force big_chain));
   check_bool "overtake is not causal" false
     (Limits.is_causal (Lazy.force big_overtake))
+
+(* ---- word boundaries --------------------------------------------- *)
+
+(* Runs of 61-64 and 123-126 messages straddle the one- and two-word
+   edges of the relation rows (62 messages per word). Every consumer of
+   the rows must agree with its reference there: the compiled matcher
+   with the interpreter, lattice membership and the limit checks with
+   their witness-producing twins, and the exact monitor with the offline
+   verdict. Colors are seeded onto the runs so the color guards bite. *)
+
+let boundary_run rng =
+  let nmsgs =
+    Prop.oneof [ Prop.int_range 61 64 rng; Prop.int_range 123 126 rng ] rng
+  in
+  let nprocs = Prop.int_range 2 4 rng
+  and seed = Prop.int_range 0 1_000_000 rng in
+  let r =
+    match Prop.int_range 0 2 rng with
+    | 0 -> Mo_workload.Random_run.run ~nprocs ~nmsgs ~seed ()
+    | 1 -> Mo_workload.Random_run.causal_run ~nprocs ~nmsgs ~seed ()
+    | _ -> Mo_workload.Random_run.serialized_run ~nprocs ~nmsgs ~seed ()
+  in
+  let msgs = Array.init nmsgs (fun m -> (Run.msg_src r m, Run.msg_dst r m)) in
+  let colors =
+    Array.init nmsgs (fun _ ->
+        if Random.State.bool rng then Some (Random.State.int rng 3) else None)
+  in
+  let seqs = Array.init nprocs (Run.sequence r) in
+  match Run.of_sequences ~nprocs ~msgs ~colors seqs with
+  | Ok r -> r
+  | Error e -> failwith e
+
+(* the catalog predicates of at most three variables: the interpreter
+   is exponential in the arity, and wider ones only add stages to the
+   same search *)
+let boundary_preds =
+  List.filter
+    (fun (e : Catalog.entry) -> Forbidden.nvars e.Catalog.pred <= 3)
+    Catalog.all
+
+let boundary_agree run =
+  let a = Run.to_abstract run in
+  List.for_all
+    (fun (e : Catalog.entry) ->
+      let p = e.Catalog.pred in
+      let c = Eval.compile p in
+      Eval_ref.find_matches_ref p a = Eval.find_matches_c c a
+      && Option.is_some (Pmon.feed_run c run) = Eval.holds_c c a)
+    boundary_preds
+  && List.for_all
+       (fun m -> Lattice.is_member m a = Result.is_ok (Lattice.check m a))
+       (Lattice.points ())
+  && Limits.is_causal a = Result.is_ok (Limits.check_causal a)
+  && Limits.is_sync a = Result.is_ok (Limits.check_sync a)
+
+let test_word_boundaries =
+  Prop.test ~count:30 ~seed:62 ~name:"word boundaries" boundary_run
+    ~pp:(fun r -> Printf.sprintf "%d msgs" (Run.nmsgs r))
+    boundary_agree
 
 (* ---- pinned model-checker counts (B12 tier) ----------------------- *)
 
@@ -205,8 +265,10 @@ let () =
         [
           Alcotest.test_case "500 random guarded predicates" `Slow
             test_eval_differential;
-          Alcotest.test_case "bitset fallback beyond 62 msgs" `Quick
+          Alcotest.test_case "multi-word rows beyond 62 msgs" `Quick
             test_big_runs;
+          Alcotest.test_case "word boundaries: rows = references" `Slow
+            test_word_boundaries;
         ] );
       ( "modelcheck",
         [ Alcotest.test_case "B12-tier counts pinned" `Slow test_verify_counts ] );

@@ -12,7 +12,13 @@ let test_make_validation () =
   Alcotest.check_raises "guard var out of range"
     (Invalid_argument "Forbidden.make: guard mentions x5, arity is 1")
     (fun () ->
-      ignore (Forbidden.make ~nvars:1 ~guards:[ Color_is (5, 0) ] []))
+      ignore (Forbidden.make ~nvars:1 ~guards:[ Color_is (5, 0) ] []));
+  (* colors are non-negative: the evaluators encode "no color" as -1, so a
+     [color(x) = -1] guard would match uncoloured messages in the
+     monitors and nowhere else *)
+  Alcotest.check_raises "negative color"
+    (Invalid_argument "Forbidden.make: negative color") (fun () ->
+      ignore (Forbidden.make ~nvars:1 ~guards:[ Color_is (0, -1) ] []))
 
 let test_dedup () =
   let p = Forbidden.make ~nvars:2 [ s 0 @> s 1; s 0 @> s 1; r 1 @> r 0 ] in

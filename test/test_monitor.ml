@@ -315,7 +315,7 @@ let test_wide_differential () =
   let agree w mon (r : Monitor_ref.t) =
     let rows = Monitor.rows mon and live = Monitor.live mon in
     let nw = Array.length live in
-    let bits = Monitor.word_bits in
+    let bits = Run.Abstract.word_bits in
     for j = 0 to w - 1 do
       let l = live.(j / bits) land (1 lsl (j mod bits)) <> 0 in
       check_bool "live slots agree" (Bitset.mem r.live j) l;

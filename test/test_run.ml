@@ -117,7 +117,24 @@ let test_abstract_create () =
     (Run.Abstract.lt a (Event.send 0) (Event.deliver 0));
   (* cyclic edges rejected *)
   check_bool "cycle None" true
-    (Run.Abstract.create ~nmsgs:1 [ (Event.deliver 0, Event.send 0) ] = None)
+    (Run.Abstract.create ~nmsgs:1 [ (Event.deliver 0, Event.send 0) ] = None);
+  (* attributes are non-negative: the rows encode "unknown" as -1 *)
+  List.iter
+    (fun (what, attrs) ->
+      Alcotest.check_raises what
+        (Invalid_argument ("Run.Abstract: negative " ^ what ^ " attribute"))
+        (fun () ->
+          ignore (Run.Abstract.create ~nmsgs:1 ~attrs:[| attrs |] [])))
+    [
+      ("src", { Run.no_attrs with Run.src = Some (-1) });
+      ("dst", { Run.no_attrs with Run.dst = Some (-2) });
+      ("color", Run.attrs_known ~src:0 ~dst:1 ~color:(-1) ());
+    ];
+  Alcotest.check_raises "negative color in a concrete run"
+    (Invalid_argument "Run.of_sequences: negative color") (fun () ->
+      ignore
+        (Run.of_sequences ~nprocs:2 ~msgs:[| (0, 1) |] ~colors:[| Some (-1) |]
+           [| [ Event.send 0 ]; [ Event.deliver 0 ] |]))
 
 let test_message_graph () =
   (* crown: x0.s < x1.r and x1.s < x0.r gives a 2-cycle *)
