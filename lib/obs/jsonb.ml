@@ -94,6 +94,8 @@ let to_string_pretty v =
 
 exception Parse_error of string
 
+let max_depth = 512
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -197,7 +199,8 @@ let of_string s =
       | Some i -> Int i
       | None -> error "bad number %S" text
   in
-  let rec parse_value () =
+  (* [depth] counts the arrays and objects open around the value *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> error "unexpected end of input"
@@ -206,6 +209,8 @@ let of_string s =
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
     | Some ('-' | '0' .. '9') -> parse_number ()
+    | Some ('[' | '{') when depth = max_depth ->
+        error "nesting deeper than %d" max_depth
     | Some '[' ->
         advance ();
         skip_ws ();
@@ -215,7 +220,7 @@ let of_string s =
         end
         else
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -240,7 +245,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let rec fields acc =
@@ -259,7 +264,7 @@ let of_string s =
     | Some c -> error "unexpected %C" c
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then error "trailing garbage";
     v

@@ -24,6 +24,10 @@ val of_string : string -> (t, string) result
 (** Parse a JSON document (the dialect {!to_string} emits, plus standard
     escapes and whitespace). Numbers containing ['.'], ['e'] or ['E']
     become [Float], the rest [Int]; object field order is preserved.
+    Arrays and objects nest at most 512 deep: a document that opens a
+    513th level is an [Error], found with one integer compare per level,
+    so hostile input cannot recurse the parser without bound.
     Round-trip law: [of_string (to_string v) = Ok v] for every [v] whose
-    floats are finite. Used by the bench-regression gate to compare fresh
-    exports against committed baselines. *)
+    floats are finite and whose nesting is at most 512 deep. Used by the
+    bench-regression gate to compare fresh exports against committed
+    baselines. *)

@@ -140,13 +140,15 @@ let fold_abstracts ~nprocs ~msgs ~init ~f =
         f !acc (Run.Abstract.of_rows shape (rows_of_builder ~nmsgs builder)));
   !acc
 
-let configs ?(allow_self = false) ~nprocs ~nmsgs () =
-  let endpoints =
-    List.concat_map
-      (fun s -> List.init nprocs (fun d -> (s, d)))
-      (List.init nprocs Fun.id)
-    |> List.filter (fun (s, d) -> allow_self || s <> d)
-  in
+(* Endpoint pairs in (src, dst) lex order. *)
+let endpoints ?(allow_self = false) nprocs =
+  List.concat_map
+    (fun s -> List.init nprocs (fun d -> (s, d)))
+    (List.init nprocs Fun.id)
+  |> List.filter (fun (s, d) -> allow_self || s <> d)
+
+let configs ?allow_self ~nprocs ~nmsgs () =
+  let endpoints = endpoints ?allow_self nprocs in
   let rec go k =
     if k = 0 then [ [] ]
     else
@@ -198,13 +200,10 @@ let fold_abstracts_par ~pool ?allow_self ~nprocs ~nmsgs ~init ~f ~merge () =
    guards are src/dst equality tests, lattice membership and the
    causal/sync limits are purely structural), so the model checker only
    needs one representative per renaming orbit, weighted by the orbit's
-   size. Orbit sizes come out of orbit-stabilizer (|orbit| =
-   nprocs!/|Stab|); here we obtain them by direct counting while
-   canonicalizing, which is the same number without needing the
-   stabilizer explicitly. [configs_sym] additionally identifies configs
-   that differ only in message *order*: relabeling messages maps runs to
-   runs bijectively and no predicate can observe the labels (quantifiers
-   range over message tuples, attrs travel with the relabeling).
+   size. [configs_sym] additionally identifies configs that differ only
+   in message *order*: relabeling messages maps runs to runs bijectively
+   and no predicate can observe the labels (quantifiers range over
+   message tuples, attrs travel with the relabeling).
 
    Within a configuration — messages with identical (src, dst) are
    interchangeable: permuting them inside their class maps runs to runs
@@ -213,11 +212,6 @@ let fold_abstracts_par ~pool ?allow_self ~nprocs ~nmsgs ~init ~f ~merge () =
    so each orbit has exactly [sym_mult] runs and exactly one canonical
    representative: the run in which each class's send events appear in
    message-index order in the sender's sequence. *)
-
-let proc_perms nprocs =
-  List.map Array.of_list (permutations (List.init nprocs Fun.id))
-
-let rename_config pi msgs = Array.map (fun (s, d) -> (pi.(s), pi.(d))) msgs
 
 let sym_mult ~msgs =
   (* ∏ over interchangeability classes of |class|!, computed as: the c-th
@@ -233,97 +227,71 @@ let sym_mult ~msgs =
   done;
   !mult
 
-(* Group a (config, weight) stream by canonical key, preserving
-   first-seen order so enumeration order is deterministic. *)
-let group_by_canon canon stream =
-  let counts = Hashtbl.create 97 in
-  let order = ref [] in
-  List.iter
-    (fun (msgs, w) ->
-      let key = canon msgs in
-      match Hashtbl.find_opt counts key with
-      | None ->
-          Hashtbl.add counts key w;
-          order := key :: !order
-      | Some n -> Hashtbl.replace counts key (n + w))
-    stream;
-  List.rev_map (fun key -> (key, Hashtbl.find counts key)) !order
-
-let configs_quotient ?allow_self ~nprocs ~nmsgs () =
-  (* quotient by process renaming only; representative = lex-least
-     renamed config, multiplicity = orbit size among ordered configs *)
-  let perms = proc_perms nprocs in
-  let canon msgs =
-    List.fold_left
-      (fun best pi ->
-        let c = rename_config pi msgs in
-        match best with Some b when compare b c <= 0 -> best | _ -> Some c)
-      None perms
-    |> Option.get
-  in
-  group_by_canon canon
-    (List.map (fun c -> (c, 1)) (configs ?allow_self ~nprocs ~nmsgs ()))
-
-(* All sorted configs (non-decreasing endpoint pairs) with the count of
-   ordered configs each stands for: nmsgs!/∏(run lengths!). Iterating
-   these instead of the full product is what keeps canonicalization cheap
-   at vast sizes. *)
-let sorted_configs ?(allow_self = false) ~nprocs ~nmsgs () =
-  let endpoints =
-    List.concat_map
-      (fun s -> List.init nprocs (fun d -> (s, d)))
-      (List.init nprocs Fun.id)
-    |> List.filter (fun (s, d) -> allow_self || s <> d)
-    |> Array.of_list
-  in
-  let ne = Array.length endpoints in
-  let fact = Array.make (nmsgs + 1) 1 in
-  for i = 1 to nmsgs do
-    fact.(i) <- fact.(i - 1) * i
-  done;
-  if nmsgs = 0 then [ ([||], 1) ]
-  else begin
-    let acc = ref [] in
-    let idx = Array.make nmsgs 0 in
-    let rec go k lo =
-      if k = nmsgs then begin
-        let mult = ref fact.(nmsgs) in
-        let i = ref 0 in
-        while !i < nmsgs do
-          let j = ref !i in
-          while !j < nmsgs && idx.(!j) = idx.(!i) do
-            incr j
-          done;
-          mult := !mult / fact.(!j - !i);
-          i := !j
-        done;
-        acc := (Array.map (fun i -> endpoints.(i)) idx, !mult) :: !acc
-      end
-      else
-        for e = lo to ne - 1 do
-          idx.(k) <- e;
-          go (k + 1) e
-        done
-    in
-    go 0 0;
-    List.rev !acc
-  end
-
+(* A sorted config is a non-decreasing sequence of endpoint indices
+   (pairs numbered in (src, dst) lex order, so index order is pair
+   order). A process renaming acts on it through a per-renaming index
+   map; the image, re-sorted, is again a sorted config. The walk visits
+   the sorted configs in lex order, so the first member of each orbit it
+   meets is the orbit's lex-least one: a config is emitted iff no
+   renaming maps it below itself, and the renamings that fix it are its
+   stabilizer. Both buffers are reused; only emitted representatives
+   allocate. *)
 let configs_sym ?allow_self ~nprocs ~nmsgs () =
-  (* quotient by process renaming × message reorder; representative =
-     lex-least sorted renamed config, multiplicity = number of ordered
-     configs whose run sets are isomorphic to the representative's *)
-  let perms = proc_perms nprocs in
-  let canon msgs =
-    List.fold_left
-      (fun best pi ->
-        let c = rename_config pi msgs in
-        Array.sort compare c;
-        match best with Some b when compare b c <= 0 -> best | _ -> Some c)
-      None perms
-    |> Option.get
+  let endpoints = Array.of_list (endpoints ?allow_self nprocs) in
+  let index = Array.make (nprocs * nprocs) 0 in
+  Array.iteri (fun i (s, d) -> index.((s * nprocs) + d) <- i) endpoints;
+  let map_of pi =
+    let pi = Array.of_list pi in
+    Array.map (fun (s, d) -> index.((pi.(s) * nprocs) + pi.(d))) endpoints
   in
-  group_by_canon canon (sorted_configs ?allow_self ~nprocs ~nmsgs ())
+  let maps =
+    Array.of_list (List.map map_of (permutations (List.init nprocs Fun.id)))
+  in
+  let seq = Array.make nmsgs 0 and img = Array.make nmsgs 0 in
+  (* |Stab| of [seq], or 0 as soon as a renaming maps it below itself *)
+  let rec stabilizer k stab =
+    if k = Array.length maps then stab
+    else begin
+      let map = maps.(k) in
+      for i = 0 to nmsgs - 1 do
+        let v = map.(seq.(i)) in
+        let j = ref (i - 1) in
+        while !j >= 0 && img.(!j) > v do
+          img.(!j + 1) <- img.(!j);
+          decr j
+        done;
+        img.(!j + 1) <- v
+      done;
+      let i = ref 0 in
+      while !i < nmsgs && img.(!i) = seq.(!i) do
+        incr i
+      done;
+      if !i = nmsgs then stabilizer (k + 1) (stab + 1)
+      else if img.(!i) < seq.(!i) then 0
+      else stabilizer (k + 1) stab
+    end
+  in
+  let fact n = List.fold_left ( * ) 1 (List.init n succ) in
+  let acc = ref [] in
+  let rec go k lo =
+    if k = nmsgs then begin
+      let stab = stabilizer 0 0 in
+      if stab > 0 then begin
+        (* orbit–stabilizer: nprocs!/|Stab| sorted configs, each standing
+           for nmsgs!/∏ run! ordered ones (sym_mult is that ∏) *)
+        let msgs = Array.map (fun e -> endpoints.(e)) seq in
+        acc :=
+          (msgs, fact nprocs / stab * (fact nmsgs / sym_mult ~msgs)) :: !acc
+      end
+    end
+    else
+      for e = lo to Array.length endpoints - 1 do
+        seq.(k) <- e;
+        go (k + 1) e
+      done
+  in
+  go 0 0;
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* The canonical-representative kernel. Same backtracking shape as

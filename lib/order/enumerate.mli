@@ -100,19 +100,6 @@ val sym_mult : msgs:(int * int) array -> int
     free on runs, so every orbit has exactly this many runs and exactly
     one canonical representative. *)
 
-val configs_quotient :
-  ?allow_self:bool ->
-  nprocs:int ->
-  nmsgs:int ->
-  unit ->
-  ((int * int) array * int) list
-(** {!configs} quotiented by process renaming: one lex-least
-    representative per orbit, paired with the orbit's size
-    (orbit-stabilizer: [nprocs! / |Stab|], obtained by direct counting).
-    Multiplicity-expanded counts equal the unquotiented list's:
-    [Σ mult = length (configs ())], and every representative is a member
-    of [configs ()]. First-seen order, deterministic. *)
-
 val configs_sym :
   ?allow_self:bool ->
   nprocs:int ->
@@ -120,9 +107,15 @@ val configs_sym :
   unit ->
   ((int * int) array * int) list
 (** {!configs} quotiented by process renaming {e and} message reorder:
-    one lex-least sorted representative per orbit. The multiplicity is
-    the number of ordered configs in the orbit; every config in an orbit
-    has an isomorphic run set, so
+    one lex-least sorted representative per orbit, in lex order. Sorted
+    configs are walked in lex order as non-decreasing endpoint-index
+    sequences; one is kept iff no process renaming maps it, re-sorted,
+    to a lex-smaller sequence, and the renamings that map it to itself
+    form its stabilizer. The multiplicity is the number of ordered
+    configs in the orbit, by orbit–stabilizer
+    [(nprocs! / |Stab|) × nmsgs! / ∏ r!] over the runs [r] of equal
+    endpoint pairs, so [Σ mult = length (configs ())]. Every config in
+    an orbit has an isomorphic run set, so
     [Σ (mult × count_runs rep) = Σ count_runs] over {!configs}. This is
     the sharding domain of {!fold_abstracts_sym_par}. *)
 

@@ -8,6 +8,9 @@ type state = {
   (* origin side *)
   mutable next_local_seq : int;
   mutable current_group : int option; (* workload group of the open batch *)
+  mutable granted_open : int option;
+      (* ticket of the open batch once granted: a grant can arrive
+         between two copies of one broadcast *)
   mutable pending : pending_group list; (* awaiting grant, FIFO *)
   mutable own_tickets : int list; (* tickets of my own broadcasts *)
   (* receiver side *)
@@ -27,6 +30,7 @@ let make ~nprocs:_ ~me =
       me;
       next_local_seq = 0;
       current_group = None;
+      granted_open = None;
       pending = [];
       own_tickets = [];
       buffer = Hashtbl.create 32;
@@ -47,6 +51,17 @@ let make ~nprocs:_ ~me =
           drain (Protocol.Deliver id :: acc)
       | None -> List.rev acc
   in
+  let send_copy t (i : Protocol.intent) =
+    Protocol.Send_user
+      {
+        Message.id = i.id;
+        src = st.me;
+        dst = i.dst;
+        color = i.color;
+        payload = i.payload;
+        tag = Message.Ticket t;
+      }
+  in
   {
     Protocol.on_invoke =
       (fun ~now:_ (intent : Protocol.intent) ->
@@ -57,6 +72,7 @@ let make ~nprocs:_ ~me =
            network and invert causality). *)
         if st.current_group <> intent.group then begin
           st.current_group <- intent.group;
+          st.granted_open <- None;
           let local_seq = st.next_local_seq in
           st.next_local_seq <- local_seq + 1;
           st.pending <- st.pending @ [ { local_seq; copies = [ intent ] } ];
@@ -67,12 +83,14 @@ let make ~nprocs:_ ~me =
             ]
           else [] (* queued; requested when the head is granted *)
         end
-        else begin
-          (match List.rev st.pending with
-          | last :: _ -> last.copies <- intent :: last.copies
-          | [] -> invalid_arg "Total_order: copy without an open batch");
-          []
-        end);
+        else
+          match st.granted_open with
+          | Some t -> [ send_copy t intent ]
+          | None ->
+              (match List.rev st.pending with
+              | last :: _ -> last.copies <- intent :: last.copies
+              | [] -> invalid_arg "Total_order: copy without an open batch");
+              []);
     on_packet =
       (fun ~now:_ ~from packet ->
         match packet with
@@ -96,20 +114,9 @@ let make ~nprocs:_ ~me =
             | pg :: rest when pg.local_seq = local_seq ->
                 st.pending <- rest;
                 st.own_tickets <- t :: st.own_tickets;
-                let sends =
-                  List.rev_map
-                    (fun (i : Protocol.intent) ->
-                      Protocol.Send_user
-                        {
-                          Message.id = i.id;
-                          src = st.me;
-                          dst = i.dst;
-                          color = i.color;
-                          payload = i.payload;
-                          tag = Message.Ticket t;
-                        })
-                    pg.copies
-                in
+                (* the open batch is always the last one queued *)
+                if rest = [] then st.granted_open <- Some t;
+                let sends = List.rev_map (send_copy t) pg.copies in
                 let next_req =
                   match rest with
                   | next :: _ ->

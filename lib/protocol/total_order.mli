@@ -8,7 +8,17 @@
     broadcasts (it receives no copy of those). Ticket order extends
     causality (a request caused by a delivery is sequenced after that
     delivery's grant), so the protocol guarantees causal broadcast {e and}
-    total order.
+    total order, with the one exception below.
+
+    The copies of one broadcast are separate invoke steps, so a grant can
+    arrive between two of them (the schedule explorer reaches this). The
+    copies invoked after the grant go out at once with the granted
+    ticket, so total order holds on every schedule. Causal broadcast
+    does not: if the origin delivers a later ticket before it sends such
+    a copy, that delivery happens-before the copy's send, yet every
+    process delivers the copy first. The simulator invokes a broadcast's
+    copies without an arrival in between, so its runs keep both
+    guarantees.
 
     Total order itself is not a forbidden predicate over happened-before
     (see {!Mo_order.Broadcast_props}); this protocol and the checkers in

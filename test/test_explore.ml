@@ -511,6 +511,27 @@ let test_exact_budget_fifo_2x6 () =
         [ (207_900, false); (207_899, true) ])
     [ 1; 2 ]
 
+(* A sequencer grant can arrive between two copies of one broadcast: the
+   late copy goes out at once with the granted ticket. `mopc explore -p to
+   -w broadcast -n 3 -m M` workloads, explored to completion; message ids
+   are dense per op, so a broadcast's nprocs - 1 copies share id / 2. *)
+let test_total_order_broadcast () =
+  let grouping = { Broadcast_props.group_of = (fun id -> id / 2) } in
+  List.iter
+    (fun m ->
+      let ops =
+        (Mo_workload.Gen.broadcast ~nprocs:3 ~nbcasts:(max 1 (m / 2))
+           ~seed:42)
+          .Mo_workload.Gen.ops
+      in
+      let n =
+        exhaustively_satisfies Total_order.factory ops ~nprocs:3
+          ~prop:(fun r -> Broadcast_props.total_order r grouping)
+          ~name:(Printf.sprintf "total-order broadcast -m %d" m)
+      in
+      check_bool (Printf.sprintf "-m %d: explored" m) true (n > 0))
+    [ 1; 2; 4 ]
+
 let () =
   Alcotest.run "explore"
     [
@@ -541,6 +562,8 @@ let () =
             test_misbehaviour_detected;
           Alcotest.test_case "matches inhibit oracle" `Quick
             test_matches_inhibit_oracle;
+          Alcotest.test_case "total order: grant between broadcast copies"
+            `Quick test_total_order_broadcast;
         ] );
       ( "walk",
         [

@@ -1348,6 +1348,82 @@ let test_request_json_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "nested batch accepted"
 
+(* ---- hostile nesting ---- *)
+
+let nested n = String.make n '[' ^ String.make n ']'
+
+(* arrays and objects nest at most 512 deep: one level more is an error,
+   and 100k levels are refused at the 513th *)
+let test_jsonb_depth_bound () =
+  (match J.of_string (nested 512) with
+  | Ok v -> check_string "512 deep round trips" (nested 512) (J.to_string v)
+  | Error e -> Alcotest.fail ("512 deep rejected: " ^ e));
+  let obj n =
+    String.concat "" (List.init n (fun _ -> "{\"a\":"))
+    ^ "1" ^ String.make n '}'
+  in
+  check_bool "512 deep objects parse" true
+    (Result.is_ok (J.of_string (obj 512)));
+  List.iter
+    (fun (name, doc) ->
+      match J.of_string doc with
+      | Ok _ -> Alcotest.fail (name ^ " accepted")
+      | Error e ->
+          check_bool (name ^ ": says why") true
+            (astring_contains e "nesting"))
+    [
+      ("513 deep arrays", nested 513);
+      ("513 deep objects", obj 513);
+      ("100k deep arrays", nested 100_000);
+      ("100k unclosed arrays", String.make 100_000 '[');
+    ]
+
+let deep_nesting_reply path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      (* a daemon that never answers fails the test instead of hanging it *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      let payload = nested 100_000 in
+      let frame = Printf.sprintf "%d\n%s\n" (String.length payload) payload in
+      let t0 = Unix.gettimeofday () in
+      let sent = ref 0 in
+      while !sent < String.length frame do
+        sent :=
+          !sent
+          + Unix.write_substring fd frame !sent (String.length frame - !sent)
+      done;
+      (match Codec.read_frame (Codec.reader fd) with
+      | Ok (Some reply) -> (
+          match Codec.result_of_response reply with
+          | Ok _ -> Alcotest.fail "100k nested arrays answered ok"
+          | Error e ->
+              check_bool "error names the nesting bound" true
+                (astring_contains e "nesting"))
+      | Ok None -> Alcotest.fail "hung up without a reply"
+      | Error e -> Alcotest.fail ("reply frame: " ^ e));
+      check_bool "error reply within 2 s" true
+        (Unix.gettimeofday () -. t0 < 2.))
+
+(* a frame of 100k nested arrays gets an error reply at once, and the
+   daemon goes on serving; a failing daemon is killed, not leaked *)
+let test_daemon_deep_nesting () =
+  let path = tmp_sock "nest" in
+  rm path;
+  let pid = spawn_daemon path in
+  (try
+     round_trip path;
+     deep_nesting_reply path;
+     round_trip path
+   with e ->
+     Unix.kill pid Sys.sigkill;
+     ignore (Unix.waitpid [] pid);
+     rm path;
+     raise e);
+  graceful_shutdown pid path
+
 let () =
   Alcotest.run "service"
     [
@@ -1360,6 +1436,8 @@ let () =
             test_frame_nonblock;
           Alcotest.test_case "request json roundtrip" `Quick
             test_request_json_roundtrip;
+          Alcotest.test_case "jsonb nesting bound" `Quick
+            test_jsonb_depth_bound;
         ] );
       ( "cache",
         [
@@ -1412,5 +1490,7 @@ let () =
             test_daemon_persist_warm_restart;
           Alcotest.test_case "persist interval survives kill -9" `Quick
             test_daemon_persist_interval;
+          Alcotest.test_case "deep nesting gets an error reply" `Quick
+            test_daemon_deep_nesting;
         ] );
     ]

@@ -4,7 +4,13 @@
 
    - configs_quotient / configs_sym: multiplicity-expanded config and
      run counts equal the unquotiented enumeration's on every standard
-     size, and every representative is a member of the orbit it names;
+     size, and every representative is a member of the orbit it names
+     (configs_quotient is the process-renaming-only quotient of the
+     Config_ref oracle, test/support);
+   - configs_sym = Config_ref.configs_sym as whole lists (representatives,
+     multiplicities and order) at every vast size and at (5,5) and (6,3),
+     with and without self-messages; Σ mult = #endpoints^nmsgs; the
+     representative count of every vast size is pinned;
    - count_runs_sym = count_runs on every configuration;
    - orbit-expanded per-predicate violation counts and limit-set counts
      from fold_abstracts_sym (with and without decided-subtree pruning)
@@ -44,7 +50,7 @@ let test_configs_quotient () =
       let expand_runs q =
         List.fold_left (fun a (c, m) -> a + (m * runs_of c)) 0 q
       in
-      let q = Enumerate.configs_quotient ~nprocs ~nmsgs () in
+      let q = Config_ref.configs_quotient ~nprocs ~nmsgs () in
       check_int
         (label "(%d,%d) quotient multiplicities expand to the config count")
         (List.length cfgs) (expand q);
@@ -73,6 +79,48 @@ let test_configs_quotient () =
         true
         (List.length s <= List.length q))
     sizes_all
+
+(* the integer-coded canonicity test against the tuple-and-Hashtbl
+   grouping it replaced: same representatives, multiplicities and order *)
+let oracle_sizes = Modelcheck.vast_sizes @ [ (5, 5); (6, 3) ]
+
+let vast_reps = [ 2; 5; 2; 10; 6; 20; 24; 69; 6; 23; 110; 196 ]
+
+let test_configs_sym_oracle () =
+  let pp_cfg (c, m) =
+    String.concat " "
+      (List.map (fun (s, d) -> Printf.sprintf "%d>%d" s d) (Array.to_list c))
+    ^ Printf.sprintf " x%d" m
+  in
+  List.iter
+    (fun allow_self ->
+      List.iter
+        (fun (nprocs, nmsgs) ->
+          let label fmt = Printf.sprintf fmt nprocs nmsgs allow_self in
+          let s = Enumerate.configs_sym ~allow_self ~nprocs ~nmsgs () in
+          Alcotest.(check (list string))
+            (label "(%d,%d) self %b: configs_sym = Config_ref.configs_sym")
+            (List.map pp_cfg
+               (Config_ref.configs_sym ~allow_self ~nprocs ~nmsgs ()))
+            (List.map pp_cfg s);
+          let ne =
+            if allow_self then nprocs * nprocs else nprocs * (nprocs - 1)
+          in
+          check_int
+            (label "(%d,%d) self %b: Σ mult = #endpoints^nmsgs")
+            (List.fold_left ( * ) 1 (List.init nmsgs (fun _ -> ne)))
+            (List.fold_left (fun a (_, m) -> a + m) 0 s))
+        oracle_sizes)
+    [ false; true ];
+  let reps =
+    List.map
+      (fun (nprocs, nmsgs) ->
+        List.length (Enumerate.configs_sym ~nprocs ~nmsgs ()))
+      Modelcheck.vast_sizes
+  in
+  Alcotest.(check (list int)) "representatives per vast size" vast_reps reps;
+  check_int "representatives over the vast tier" 473
+    (List.fold_left ( + ) 0 reps)
 
 let test_count_runs_sym () =
   List.iter
@@ -345,6 +393,8 @@ let () =
           Alcotest.test_case "configs_quotient / configs_sym" `Quick
             test_configs_quotient;
           Alcotest.test_case "count_runs_sym" `Quick test_count_runs_sym;
+          Alcotest.test_case "configs_sym = Config_ref oracle" `Quick
+            test_configs_sym_oracle;
         ] );
       ( "verdicts",
         [
